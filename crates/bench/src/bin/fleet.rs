@@ -5,10 +5,11 @@
 //! fleet [--streams N] [--seed N] [--threads N] [--smoke] [--no-quant] [--out PATH]
 //! ```
 //!
-//! `--smoke` is the CI setting: a small fleet with short streams, enough to
-//! prove the artifact is produced and well-formed. Exits non-zero if the
-//! batched drain fails to reproduce per-window verdicts (asserted inside
-//! the drain microbenchmark) or the artifact cannot be written.
+//! Runs one fleet pass with the f32 kernel and, unless `--no-quant`, one
+//! with the 9-bit quantized kernel. `--smoke` is the CI setting: a small
+//! fleet with short streams, enough to prove the artifact is produced and
+//! well-formed. Exits non-zero on a bad argument or if the artifact cannot
+//! be written.
 
 use std::process::ExitCode;
 
@@ -86,12 +87,10 @@ fn main() -> ExitCode {
         eprintln!("error: cannot write {out}: {e}");
         return ExitCode::FAILURE;
     }
+    let f32 = &report.f32;
     eprintln!(
-        "[fleet] batched {:.0} windows/s (p50 {} ns, p99 {} ns); drain speedup {:.2}x",
-        report.batched_f32.windows_per_sec,
-        report.batched_f32.p50_ns,
-        report.batched_f32.p99_ns,
-        report.drain.speedup
+        "[fleet] f32 {:.0} windows/s (p50 {} ns, p99 {} ns)",
+        f32.windows_per_sec, f32.p50_ns, f32.p99_ns
     );
     ExitCode::SUCCESS
 }

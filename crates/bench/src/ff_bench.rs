@@ -347,10 +347,8 @@ pub fn run_ff_bench(cfg: &FfBenchConfig) -> FfBenchReport {
             secure_window: 1_000,
             ..AdaptiveConfig::default()
         },
-        batch_windows: 16,
         n_shards: 32,
-        kernel_threads: 1,
-        inference: InferenceMode::BatchedF32,
+        inference: InferenceMode::F32,
         seed: cfg.seed,
         warm_start: false,
     };

@@ -1,20 +1,17 @@
 //! Fleet service benchmark (`BENCH_fleet.json`): drives
-//! [`evax_defense::fleet`] over ≥1k concurrent tenant streams and reports
+//! [`evax_defense::fleet`] over ≥1k concurrent tenant streams and reports,
+//! for the f32 and the 9-bit quantized inference kernels,
 //!
-//! * sustained end-to-end windows/sec for the per-window baseline, the
-//!   batched-f32 and the batched-quantized inference modes,
+//! * sustained end-to-end windows/sec,
 //! * p50/p99 window→verdict latency (an [`evax_obs`] pow-2 histogram over
 //!   the fleet's wall-clock latency samples),
+//! * the simulation vs verdict CPU-time split,
 //! * the deterministic fleet block (per-stream verdict digest) the
-//!   `tests/fleet.rs` determinism test compares across thread counts,
-//! * an inference-only drain microbenchmark isolating the acceptance
-//!   criterion: cross-stream batched scoring vs the allocating per-window
-//!   `Detector::classify` call, on the same extended feature rows.
+//!   `tests/fleet.rs` determinism test compares across thread counts.
 //!
 //! End-to-end fleet throughput is simulation-dominated (the detector is a
-//! perceptron; the cores are cycle-accurate), so the end-to-end ratio
-//! mostly measures the scheduler. The drain microbenchmark is where the
-//! batched kernel's win is visible in isolation.
+//! perceptron; the cores are cycle-accurate): verdicting is about 1% of a
+//! shard's CPU time.
 
 use evax_core::collect::{collect_dataset, CollectConfig};
 use evax_core::prelude::{
@@ -38,7 +35,7 @@ pub struct FleetBenchConfig {
     pub parallelism: Parallelism,
     /// Also run the quantized inference pass.
     pub quantized: bool,
-    /// CI-scale run: fewer/shorter streams, smaller drain microbench.
+    /// CI-scale run: fewer, shorter streams.
     pub smoke: bool,
 }
 
@@ -66,9 +63,10 @@ pub struct FleetPass {
     /// Sustained end-to-end windows/sec (simulation + featurization +
     /// inference + verdict application).
     pub windows_per_sec: f64,
-    /// CPU seconds spent in featurization + inference drains, summed
-    /// across shard workers (`FleetReport::inference_ns`) — the inference
-    /// side of the end-to-end split.
+    /// CPU seconds spent verdicting windows (featurization, inference,
+    /// verdict application), summed across shard workers
+    /// (`FleetReport::inference_ns`) — the inference side of the
+    /// end-to-end split.
     pub inference_secs: f64,
     /// CPU seconds spent stepping simulated cores, measured the same way
     /// (`FleetReport::sim_ns`) — the simulation side of the split. The two
@@ -83,43 +81,17 @@ pub struct FleetPass {
     pub deterministic: String,
 }
 
-/// Inference-drain microbenchmark result: the acceptance-criterion numbers.
-#[derive(Debug, Clone)]
-pub struct DrainBench {
-    /// Rows per timed drain.
-    pub rows: usize,
-    /// Extended feature dimension.
-    pub dim: usize,
-    /// Timed repetitions.
-    pub reps: usize,
-    /// Kernel threads for the batched drain.
-    pub kernel_threads: usize,
-    /// Seconds for `reps` passes of per-window `Detector::classify`.
-    pub per_window_secs: f64,
-    /// Seconds for `reps` passes of the batched f32 kernel.
-    pub batched_secs: f64,
-    /// Seconds for `reps` passes of the batched 9-bit integer kernel.
-    pub quant_secs: f64,
-    /// Batched-f32 windows/sec ÷ per-window windows/sec.
-    pub speedup: f64,
-}
-
 /// The full benchmark artifact.
 #[derive(Debug, Clone)]
 pub struct FleetBenchReport {
     /// The configuration the run used.
     pub config: FleetBenchConfig,
-    /// Cores the machine exposes — threaded drain numbers only mean
-    /// something when this is ≥ the kernel thread count.
+    /// Cores the machine exposes.
     pub cores: usize,
-    /// Per-window baseline pass.
-    pub per_window: FleetPass,
-    /// Batched f32 pass.
-    pub batched_f32: FleetPass,
-    /// Batched quantized pass (if requested).
-    pub batched_quant: Option<FleetPass>,
-    /// Inference-drain microbenchmark.
-    pub drain: DrainBench,
+    /// f32 pass.
+    pub f32: FleetPass,
+    /// Quantized pass (if requested).
+    pub quant: Option<FleetPass>,
 }
 
 fn quantiles(latencies: &[u64]) -> (u64, u64) {
@@ -160,92 +132,6 @@ fn fleet_pass(
     }
 }
 
-/// Times the inference drain in isolation: the same `rows × dim` extended
-/// feature matrix scored (a) one window at a time through the allocating
-/// `Detector::classify` baseline (featurize-per-call, as the pre-fleet
-/// controller does), (b) through the threaded batched f32 kernel, and (c)
-/// through the batched 9-bit integer kernel.
-fn drain_bench(
-    detector: &Detector,
-    bases: &[Vec<f32>],
-    rows: usize,
-    reps: usize,
-    kernel_threads: usize,
-) -> DrainBench {
-    let dim = detector.extended_dim();
-    // Pre-featurized batch matrix — what the fleet's WindowBatch holds at
-    // drain time (featurization happened at window production).
-    let mut matrix = vec![0.0f32; rows * dim];
-    let mut ext = Vec::with_capacity(dim);
-    for i in 0..rows {
-        detector.transform_into(&bases[i % bases.len()], &mut ext);
-        matrix[i * dim..(i + 1) * dim].copy_from_slice(&ext);
-    }
-    let mut scores = vec![0.0f32; rows];
-    let mut verdicts = vec![false; rows];
-
-    // (a) the baseline: one allocating classify call per window.
-    let (flags_a, per_window_secs) = timed(|| {
-        let mut flags = 0u64;
-        for _ in 0..reps {
-            for i in 0..rows {
-                if detector.classify(&bases[i % bases.len()]) {
-                    flags += 1;
-                }
-            }
-        }
-        flags
-    });
-
-    // (b) the fleet's batched f32 drain.
-    let (flags_b, batched_secs) = timed(|| {
-        let mut flags = 0u64;
-        for _ in 0..reps {
-            detector.classify_rows_into(&matrix, kernel_threads, &mut scores, &mut verdicts);
-            flags += verdicts.iter().filter(|&&v| v).count() as u64;
-        }
-        flags
-    });
-    assert_eq!(
-        flags_a, flags_b,
-        "batched f32 drain must reproduce per-window verdicts exactly"
-    );
-
-    // (c) the quantized drain (integer accumulate over u8 inputs). Input
-    // quantization happens once, outside the timed loop — the fleet
-    // quantizes each window's row exactly once per drain, so re-quantizing
-    // the whole matrix every rep would bill the integer kernel for work the
-    // service never repeats.
-    let quant = detector.quantize_linear();
-    let mut xq = vec![0u8; rows * dim];
-    evax_nn::QuantLinear::quantize_input_into(&matrix, &mut xq);
-    let mut q_scores = vec![0i64; rows];
-    let (_, quant_secs) = timed(|| {
-        let mut flags = 0u64;
-        for _ in 0..reps {
-            quant.score_rows_q_into(&xq, kernel_threads, &mut q_scores);
-            flags += q_scores
-                .iter()
-                .filter(|&&s| s >= quant.threshold_q())
-                .count() as u64;
-        }
-        flags
-    });
-
-    let per_window_wps = (rows * reps) as f64 / per_window_secs.max(1e-12);
-    let batched_wps = (rows * reps) as f64 / batched_secs.max(1e-12);
-    DrainBench {
-        rows,
-        dim,
-        reps,
-        kernel_threads,
-        per_window_secs,
-        batched_secs,
-        quant_secs,
-        speedup: batched_wps / per_window_wps.max(1e-12),
-    }
-}
-
 /// Trains a small detector (collection corpus + perceptron, tuned to 99%
 /// TPR) and runs the full fleet benchmark.
 pub fn run_fleet_bench(cfg: &FleetBenchConfig) -> FleetBenchReport {
@@ -270,15 +156,7 @@ pub fn run_fleet_bench(cfg: &FleetBenchConfig) -> FleetBenchReport {
     detector.tune_for_tpr(&ds, 0.99);
     let featurizer = Featurizer::new(norm, detector.engineered().to_vec());
 
-    // Batch size matches the full-strength shard population (streams ÷
-    // shards): the batch fills once per pass (threaded drain) while every
-    // stream is live, then tails off through the in-place drain as streams
-    // retire — both kernel paths show up in the artifact.
-    let (max_instrs, batch_windows, n_shards) = if cfg.smoke {
-        (1_200, 8, 8)
-    } else {
-        (2_000, 16, 64)
-    };
+    let (max_instrs, n_shards) = if cfg.smoke { (1_200, 8) } else { (2_000, 64) };
     let fleet = FleetConfig {
         n_streams: cfg.n_streams,
         attack_every: 4,
@@ -288,34 +166,22 @@ pub fn run_fleet_bench(cfg: &FleetBenchConfig) -> FleetBenchReport {
             secure_window: 1_000,
             ..AdaptiveConfig::default()
         },
-        batch_windows,
         n_shards,
-        kernel_threads: 1,
-        inference: InferenceMode::PerWindow,
+        inference: InferenceMode::F32,
         seed: cfg.seed,
         warm_start: false,
     };
     let cpu_cfg = CpuConfig::default();
 
     eprintln!(
-        "[fleet] {} streams x {} instrs, {} shards, batch {}",
-        fleet.n_streams, fleet.max_instrs, fleet.n_shards, fleet.batch_windows
+        "[fleet] {} streams x {} instrs, {} shards",
+        fleet.n_streams, fleet.max_instrs, fleet.n_shards
     );
-    let per_window = fleet_pass(&fleet, &cpu_cfg, &detector, &featurizer, cfg.parallelism);
-    let batched_f32 = fleet_pass(
-        &FleetConfig {
-            inference: InferenceMode::BatchedF32,
-            ..fleet.clone()
-        },
-        &cpu_cfg,
-        &detector,
-        &featurizer,
-        cfg.parallelism,
-    );
-    let batched_quant = cfg.quantized.then(|| {
+    let f32 = fleet_pass(&fleet, &cpu_cfg, &detector, &featurizer, cfg.parallelism);
+    let quant = cfg.quantized.then(|| {
         fleet_pass(
             &FleetConfig {
-                inference: InferenceMode::BatchedQuant,
+                inference: InferenceMode::Quant,
                 ..fleet.clone()
             },
             &cpu_cfg,
@@ -325,17 +191,11 @@ pub fn run_fleet_bench(cfg: &FleetBenchConfig) -> FleetBenchReport {
         )
     });
 
-    let bases: Vec<Vec<f32>> = ds.samples.iter().map(|s| s.features.clone()).collect();
-    let (rows, reps) = if cfg.smoke { (512, 8) } else { (4_096, 50) };
-    let drain = drain_bench(&detector, &bases, rows, reps, 4);
-
     FleetBenchReport {
         config: cfg.clone(),
         cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        per_window,
-        batched_f32,
-        batched_quant,
-        drain,
+        f32,
+        quant,
     }
 }
 
@@ -366,43 +226,21 @@ impl FleetBenchReport {
             Parallelism::Fixed(n) => n.to_string(),
             _ => "\"auto\"".to_string(),
         };
-        let quant = self
-            .batched_quant
-            .as_ref()
-            .map_or("null".to_string(), pass_json);
-        let d = &self.drain;
+        let quant = self.quant.as_ref().map_or("null".to_string(), pass_json);
         format!(
             "{{\n  \"streams\": {}, \"seed\": {}, \"threads\": {}, \"smoke\": {}, \"cores\": {},\n  \
-             \"per_window\": {},\n  \
-             \"batched_f32\": {},\n  \
-             \"batched_quant\": {},\n  \
-             \"end_to_end_speedup\": {:.3},\n  \
-             \"inference_drain\": {{\"rows\": {}, \"dim\": {}, \"reps\": {}, \
-             \"kernel_threads\": {}, \"per_window_classify_secs\": {:.6}, \
-             \"batched_f32_secs\": {:.6}, \"batched_quant_secs\": {:.6}, \
-             \"batched_vs_per_window_speedup\": {:.3}}},\n  \
-             \"note\": \"end-to-end passes are simulation-dominated; the \
-             inference_drain block isolates the batched kernel vs the \
-             allocating per-window classify baseline on identical rows; on \
-             machines with fewer cores than kernel_threads the threaded \
-             speedup only measures substrate overhead\"\n}}\n",
+             \"f32\": {},\n  \
+             \"quant\": {},\n  \
+             \"note\": \"end-to-end passes are simulation-dominated; every window \
+             is verdicted where it is produced, so p50_ns/p99_ns time one \
+             featurize + score + verdict step\"\n}}\n",
             self.config.n_streams,
             self.config.seed,
             threads,
             self.config.smoke,
             self.cores,
-            pass_json(&self.per_window),
-            pass_json(&self.batched_f32),
+            pass_json(&self.f32),
             quant,
-            self.batched_f32.windows_per_sec / self.per_window.windows_per_sec.max(1e-12),
-            d.rows,
-            d.dim,
-            d.reps,
-            d.kernel_threads,
-            d.per_window_secs,
-            d.batched_secs,
-            d.quant_secs,
-            d.speedup,
         )
     }
 }

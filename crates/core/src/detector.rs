@@ -165,54 +165,15 @@ impl Detector {
         self.perceptron.score(&self.transform(base))
     }
 
-    /// [`Detector::score`] through a caller-owned scratch buffer: the
-    /// allocation-free per-window path. Bit-identical to `score`.
-    pub fn score_with_scratch(&self, base: &[f32], scratch: &mut Vec<f32>) -> f32 {
-        self.transform_into(base, scratch);
-        self.perceptron.score(scratch)
-    }
-
     /// Classifies a baseline feature vector (`true` = malicious).
     pub fn classify(&self, base: &[f32]) -> bool {
         self.score(base) >= self.threshold
     }
 
-    /// [`Detector::classify`] through a caller-owned scratch buffer.
-    pub fn classify_with_scratch(&self, base: &[f32], scratch: &mut Vec<f32>) -> bool {
-        self.score_with_scratch(base, scratch) >= self.threshold
-    }
-
-    /// Batched scoring over a flat row-major batch of **extended** feature
-    /// rows (built via [`Detector::transform_into`]): `out[i]` is
-    /// bit-identical to scoring row `i` alone, at any thread count
-    /// (`threads == 0` resolves automatically).
-    ///
-    /// # Panics
-    /// Panics if `rows.len() != out.len() * extended_dim()`.
-    pub fn score_rows_into(&self, rows: &[f32], threads: usize, out: &mut [f32]) {
-        self.perceptron.score_rows_into(rows, threads, out);
-    }
-
-    /// Batched classification over extended feature rows; per-row verdicts
-    /// are bit-identical to [`Detector::classify`].
-    ///
-    /// # Panics
-    /// Panics on batch/score/verdict length mismatches.
-    pub fn classify_rows_into(
-        &self,
-        rows: &[f32],
-        threads: usize,
-        scores: &mut [f32],
-        verdicts: &mut [bool],
-    ) {
-        self.perceptron
-            .classify_batch_into(rows, self.threshold, threads, scores, verdicts);
-    }
-
     /// Quantizes this detector to the 9-bit integer deployment kernel
     /// ([`evax_nn::QuantLinear`]), folding in the decision threshold. The
-    /// kernel operates on the same extended feature rows as the batched f32
-    /// path, quantized to `u8`.
+    /// kernel operates on the same extended feature rows as the f32 path,
+    /// quantized to `u8`.
     pub fn quantize_linear(&self) -> evax_nn::QuantLinear {
         evax_nn::QuantLinear::from_f32(
             self.perceptron.weights(),
@@ -362,9 +323,9 @@ impl Detector {
 
 /// The trait-level view of the deployed detector: a thresholded perceptron
 /// over **extended** (base + engineered) feature rows. Bitwise-pinned to the
-/// inherent paths — `score_into` equals [`HwPerceptron::score`] on the
-/// transformed row, batched paths equal [`Detector::score_rows_into`] /
-/// [`Detector::classify_rows_into`].
+/// perceptron — `score_into` equals [`HwPerceptron::score`] on the
+/// transformed row, batched paths equal [`HwPerceptron::score_rows_into`] /
+/// [`HwPerceptron::classify_batch_into`].
 impl ModelDetector for Detector {
     fn n_features(&self) -> usize {
         self.perceptron.n_features()

@@ -616,94 +616,6 @@ impl Featurizer {
     }
 }
 
-/// Fan-in buffer for cross-stream batched inference: extended feature rows
-/// (built by [`Featurizer::featurize_into`] or
-/// `Detector::transform_into`) from many interleaved streams accumulate
-/// into one flat row-major matrix, each row tagged with its origin, until
-/// the whole batch is flushed through a batched scoring kernel.
-///
-/// The buffer is meant to live as long as its scheduler shard: `clear`
-/// retains capacity, so steady-state operation performs no allocation.
-#[derive(Debug, Clone)]
-pub struct WindowBatch<T> {
-    dim: usize,
-    capacity: usize,
-    rows: Vec<f32>,
-    tags: Vec<T>,
-}
-
-impl<T> WindowBatch<T> {
-    /// Creates an empty batch of `capacity` rows of `dim` features each.
-    ///
-    /// # Panics
-    /// Panics if `dim == 0` or `capacity == 0`.
-    pub fn new(dim: usize, capacity: usize) -> Self {
-        assert!(dim > 0, "row dimension must be positive");
-        assert!(capacity > 0, "batch capacity must be positive");
-        WindowBatch {
-            dim,
-            capacity,
-            rows: Vec::with_capacity(dim * capacity),
-            tags: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Features per row.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Rows the batch holds before it must be flushed.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Rows currently pending.
-    pub fn len(&self) -> usize {
-        self.tags.len()
-    }
-
-    /// `true` if no rows are pending.
-    pub fn is_empty(&self) -> bool {
-        self.tags.is_empty()
-    }
-
-    /// `true` once the batch has reached capacity and must be flushed.
-    pub fn is_full(&self) -> bool {
-        self.tags.len() >= self.capacity
-    }
-
-    /// Appends one row, written in place by `fill` (the row starts zeroed),
-    /// and returns `true` if the batch is now full.
-    ///
-    /// # Panics
-    /// Panics if the batch is already full.
-    pub fn push_with(&mut self, tag: T, fill: impl FnOnce(&mut [f32])) -> bool {
-        assert!(!self.is_full(), "push into a full WindowBatch");
-        let start = self.rows.len();
-        self.rows.resize(start + self.dim, 0.0);
-        fill(&mut self.rows[start..]);
-        self.tags.push(tag);
-        self.is_full()
-    }
-
-    /// The pending rows as one flat row-major slice (`len() * dim()` long).
-    pub fn rows(&self) -> &[f32] {
-        &self.rows
-    }
-
-    /// Tags of the pending rows, in push order.
-    pub fn tags(&self) -> &[T] {
-        &self.tags
-    }
-
-    /// Drops all pending rows, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.rows.clear();
-        self.tags.clear();
-    }
-}
-
 /// Offline sink: normalizes every window and appends it to a labeled
 /// [`Dataset`] — the streaming replacement for materialize-then-normalize.
 #[derive(Debug)]

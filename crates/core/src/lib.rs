@@ -101,8 +101,6 @@ pub mod replicated;
 pub use dataset::{Dataset, Normalizer, Sample, BENIGN_CLASS, N_CLASSES};
 pub use detector::{Detector, DetectorKind};
 pub use error::{EvaxError, Result};
-pub use featurize::{
-    Featurizer, ProgramSource, RawWindow, StreamStats, WindowBatch, WindowSink, WindowSource,
-};
+pub use featurize::{Featurizer, ProgramSource, RawWindow, StreamStats, WindowSink, WindowSource};
 pub use gram::{gram_matrix, style_loss, style_loss_normalized};
 pub use par::Parallelism;

@@ -21,7 +21,7 @@ pub use crate::faults::{
     FaultingSink, RetryPolicy, SliceSource,
 };
 pub use crate::featurize::{
-    Featurizer, ProgramSource, RawWindow, StreamStats, WindowBatch, WindowSink, WindowSource,
+    Featurizer, ProgramSource, RawWindow, StreamStats, WindowSink, WindowSource,
 };
 pub use crate::io::{
     read_csv, read_featurizer, read_featurizer_file, read_model, read_model_file, write_csv,

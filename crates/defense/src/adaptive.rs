@@ -10,8 +10,8 @@
 //! there is no deployment-side copy of the featurization to drift.
 
 use evax_core::prelude::{
-    Detector, DetectorScratch, FaultInjector, ModelDetector, Normalizer, ProgramSource, RawWindow,
-    WindowSink, WindowSource,
+    Detector, DetectorScratch, FaultInjector, Featurizer, ModelDetector, Normalizer, ProgramSource,
+    RawWindow, WindowSink, WindowSource,
 };
 use evax_obs::MetricsSink;
 use evax_sim::{CpuConfig, MitigationMode, Program, RunResult};
@@ -149,8 +149,8 @@ impl AdaptiveConfigBuilder {
 
 /// Per-stream secure-mode state machine: the detector-gated countdown the
 /// [`AdaptiveController`] runs for its single program, factored out so the
-/// fleet scheduler (`crate::fleet`) can hold one per tenant stream and
-/// drain **batched** verdicts through exactly the same transitions.
+/// fleet scheduler (`crate::fleet`) can hold one per tenant stream. Verdicts
+/// reach it through [`VerdictStep::apply`].
 ///
 /// Transitions (paper §VIII-A semantics, one call per sampling window):
 /// a malicious verdict (re-)arms `secure_window` instructions of the
@@ -211,6 +211,81 @@ impl SecureModeState {
     }
 }
 
+/// One sampling window's verdict: the adaptive architecture's per-window
+/// rule (§VIII-A) — featurize, score, decide, move the secure-mode state
+/// machine. Every deployment applies its verdicts here: the single-stream
+/// [`AdaptiveController`] holds one step, and each fleet shard holds one for
+/// all its tenant streams (each stream brings its own [`SecureModeState`]).
+///
+/// The model is any [`ModelDetector`] — the detector's own perceptron, the
+/// 9-bit integer kernel, or a hardened (stochastic, ensemble) variant — and
+/// its [`ModelDetector::decide`] supplies the exact decision rule.
+#[derive(Debug, Clone)]
+pub struct VerdictStep<'a> {
+    featurizer: Featurizer,
+    model: &'a dyn ModelDetector,
+    /// One feature row reused across every window.
+    row: Vec<f32>,
+    scratch: DetectorScratch,
+    faults: FaultInjector,
+}
+
+impl<'a> VerdictStep<'a> {
+    /// A step scoring `featurizer`'s rows with `model`.
+    ///
+    /// # Panics
+    /// Panics if `model` consumes a different feature dimension than
+    /// `featurizer` produces.
+    pub fn new(featurizer: Featurizer, model: &'a dyn ModelDetector) -> Self {
+        assert_eq!(
+            model.n_features(),
+            featurizer.feature_dim(),
+            "model and featurizer disagree on the feature dimension"
+        );
+        VerdictStep {
+            row: vec![0.0f32; featurizer.feature_dim()],
+            featurizer,
+            model,
+            scratch: DetectorScratch::new(),
+            faults: FaultInjector::disabled(),
+        }
+    }
+
+    /// Routes every raw score through a fault injector (chaos testing). The
+    /// default disabled injector is bitwise invisible.
+    pub fn with_faults(mut self, faults: FaultInjector) -> Self {
+        self.faults = faults;
+        self
+    }
+
+    /// Applies the verdict on one window of raw counters, ending at `cycle`,
+    /// to `state` and returns the mitigation switch to make (if any).
+    ///
+    /// Both fail-secure gates live here. A window with a non-finite counter
+    /// cannot be featurized honestly, and a non-finite score compares false
+    /// against any threshold — so a naive verdict would fail *open*. Either
+    /// one engages secure mode instead.
+    pub fn apply(
+        &mut self,
+        state: &mut SecureModeState,
+        raw: &[f64],
+        cycle: u64,
+        cfg: &AdaptiveConfig,
+    ) -> Option<MitigationMode> {
+        // Fail-secure gate #1.
+        if raw.iter().any(|v| !v.is_finite()) {
+            return state.fail_secure(cfg);
+        }
+        self.featurizer.featurize_into(raw, &mut self.row);
+        let (score, malicious) = self.model.decide(&self.row, &mut self.scratch);
+        // Fail-secure gate #2.
+        if !self.faults.corrupt_score(score).is_finite() {
+            return state.fail_secure(cfg);
+        }
+        state.apply_verdict(malicious, cycle, cfg)
+    }
+}
+
 /// Outcome of an adaptive (or fixed-mode) run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveRun {
@@ -252,22 +327,10 @@ impl AdaptiveRun {
 /// it to the canonical per-program source.
 #[derive(Debug)]
 pub struct AdaptiveController<'a> {
-    detector: &'a Detector,
-    /// Optional hardened deployment model (stochastic, ensemble, quantized —
-    /// any [`ModelDetector`]) substituted for the detector's own linear
-    /// model. The feature transform stays the detector's.
-    model: Option<&'a dyn ModelDetector>,
-    normalizer: &'a Normalizer,
+    step: VerdictStep<'a>,
     cfg: &'a AdaptiveConfig,
-    /// One features buffer reused across every sampling window.
-    features: Vec<f32>,
-    /// Extended-feature scratch for the allocation-free scoring path.
-    extended: Vec<f32>,
-    /// Trait-level inference scratch (quantized/network model buffers).
-    nn_scratch: DetectorScratch,
     state: SecureModeState,
     ipc_series: Vec<(u64, f64)>,
-    faults: FaultInjector,
 }
 
 impl<'a> AdaptiveController<'a> {
@@ -279,17 +342,12 @@ impl<'a> AdaptiveController<'a> {
         normalizer: &'a Normalizer,
         cfg: &'a AdaptiveConfig,
     ) -> Self {
+        let featurizer = Featurizer::new(normalizer.clone(), detector.engineered().to_vec());
         AdaptiveController {
-            detector,
-            model: None,
-            normalizer,
+            step: VerdictStep::new(featurizer, detector),
             cfg,
-            features: vec![0.0f32; normalizer.dim()],
-            extended: Vec::with_capacity(detector.extended_dim()),
-            nn_scratch: DetectorScratch::new(),
             state: SecureModeState::default(),
             ipc_series: Vec::new(),
-            faults: FaultInjector::disabled(),
         }
     }
 
@@ -298,7 +356,7 @@ impl<'a> AdaptiveController<'a> {
     /// engineered transform; only the scoring/verdict step dispatches to
     /// `model` (its [`ModelDetector::decide`] — so integer-domain, jittered
     /// and majority-vote decision rules all stay exact). Without this call
-    /// the controller's verdicts are bit-identical to the pre-trait path.
+    /// the controller scores with the detector itself.
     ///
     /// # Panics
     /// Panics if `model` consumes a different feature dimension than the
@@ -306,10 +364,10 @@ impl<'a> AdaptiveController<'a> {
     pub fn with_model(mut self, model: &'a dyn ModelDetector) -> Self {
         assert_eq!(
             model.n_features(),
-            self.detector.extended_dim(),
+            self.step.featurizer.feature_dim(),
             "hardened model and detector disagree on the extended feature dimension"
         );
-        self.model = Some(model);
+        self.step.model = model;
         self
     }
 
@@ -318,7 +376,7 @@ impl<'a> AdaptiveController<'a> {
     /// [`evax_core::faults::FaultKind::InfScore`]). The default disabled
     /// injector is bitwise invisible.
     pub fn with_faults(mut self, faults: FaultInjector) -> Self {
-        self.faults = faults;
+        self.step = self.step.with_faults(faults);
         self
     }
 
@@ -352,30 +410,8 @@ impl WindowSink for AdaptiveController<'_> {
         let ipc = w.ipc();
         self.ipc_series
             .push((w.instructions, if ipc.is_finite() { ipc } else { 0.0 }));
-        // Fail-secure gate #1: a window carrying non-finite counters cannot
-        // be featurized honestly — treat the verdict as "attack".
-        if w.values.iter().any(|v| !v.is_finite()) {
-            return self.state.fail_secure(self.cfg);
-        }
-        self.normalizer.normalize_into(w.values, &mut self.features);
-        // Score/verdict through the unified trait: the detector's own trait
-        // impl reproduces the historical `score_with_scratch` chain bit for
-        // bit, and a hardened model substituted via `with_model` brings its
-        // own exact decision rule (integer compare, jittered threshold,
-        // majority vote) along through `decide`.
-        self.detector
-            .transform_into(&self.features, &mut self.extended);
-        let model = self.model.unwrap_or(self.detector as &dyn ModelDetector);
-        let (raw, malicious) = model.decide(&self.extended, &mut self.nn_scratch);
-        // Fail-secure gate #2: a non-finite detector score (faulted model,
-        // injected inference fault) compares false against any threshold —
-        // naive `score >= threshold` would fail *open*. Route non-finite
-        // scores to secure mode instead.
-        let score = self.faults.corrupt_score(raw);
-        if !score.is_finite() {
-            return self.state.fail_secure(self.cfg);
-        }
-        self.state.apply_verdict(malicious, w.cycle, self.cfg)
+        self.step
+            .apply(&mut self.state, w.values, w.cycle, self.cfg)
     }
 }
 

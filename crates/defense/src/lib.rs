@@ -11,14 +11,18 @@
 //!   [`evax_sim::Cpu::set_mitigation`] from HPC samples. It is a
 //!   [`evax_core::featurize::WindowSink`] on the unified streaming
 //!   featurization pipeline — the deployment loop consumes the exact
-//!   window→feature stage chain the detector was trained on.
+//!   window→feature stage chain the detector was trained on. Its
+//!   [`adaptive::VerdictStep`] is the one per-window verdict rule (featurize,
+//!   score, fail-secure gates, secure-mode transition) every deployment
+//!   applies.
 //! * [`overhead`] — end-to-end overhead measurement: always-on vs. adaptive
 //!   across the benign workload suite (Fig. 16's bars), plus IPC timelines
 //!   (Fig. 14's series).
 //! * [`fleet`] — the many-tenant deployment shape: thousands of interleaved
-//!   tenant streams round-robin sharded over [`evax_core::par`], with
-//!   detector inference batched across streams' pending windows (and
-//!   optionally quantized to the paper's 9-bit integer hardware model).
+//!   tenant streams round-robin sharded over [`evax_core::par`], each
+//!   window verdicted by the same [`adaptive::VerdictStep`] where it is
+//!   produced (optionally scored by the paper's 9-bit integer hardware
+//!   model).
 //!
 //! ## Example
 //!
@@ -45,7 +49,7 @@ pub mod overhead;
 pub use adaptive::{
     run_adaptive, run_adaptive_with_metrics, run_adaptive_with_model, run_fixed,
     run_fixed_with_metrics, AdaptiveConfig, AdaptiveController, AdaptiveRun, Policy,
-    SecureModeState,
+    SecureModeState, VerdictStep,
 };
 pub use fleet::{
     run_fleet, run_fleet_with_model, FleetConfig, FleetReport, InferenceMode, StreamOutcome,

@@ -13,7 +13,7 @@
 //!
 //! The scorer implements the object-safe [`Detector`] trait (kind
 //! `"anomaly"`), so it drops into every deployment path — model bundles,
-//! the fleet drain, the adaptive controller — unchanged. Scoring is a
+//! the fleet, the adaptive controller — unchanged. Scoring is a
 //! pure per-row function (no batch-composition or thread-count
 //! dependence), keeping the repo-wide bit-reproducibility contract.
 

@@ -1,10 +1,10 @@
 //! The unified, object-safe detector abstraction.
 //!
-//! Every scoring/classification surface in the workspace — the adaptive
-//! controller, the fleet batch drain, k-fold evaluation, model bundles —
-//! dispatches through one trait, [`Detector`], so evasive attacks and
-//! hardened detector variants can be plugged into any deployment path
-//! without touching the call sites.
+//! Every scoring/classification surface in the workspace — the verdict
+//! step shared by the adaptive controller and the fleet, k-fold
+//! evaluation, model bundles — dispatches through one trait, [`Detector`],
+//! so evasive attacks and hardened detector variants can be plugged into
+//! any deployment path without touching the call sites.
 //!
 //! # Contract
 //!

@@ -661,32 +661,15 @@ impl Cpu {
         program: &Program,
         max_instrs: u64,
         sample_interval: u64,
-        mut on_sample: impl FnMut(HpcSample) -> Option<MitigationMode>,
+        on_sample: impl FnMut(HpcSample) -> Option<MitigationMode>,
     ) -> RunResult {
-        let mut cursor = self.begin_sampled(max_instrs, sample_interval);
-        let dim = crate::hpc::dim_for(self.config());
-        loop {
-            // The retained delta row is the window's only allocation:
-            // counters are read straight into it, then converted to
-            // deltas in place while the absolute values move to `prev`.
-            let mut values = vec![0.0f64; dim];
-            match cursor.next_window_into(self, program, &mut values) {
-                SampledStep::Window {
-                    instructions,
-                    cycle,
-                } => {
-                    let sample = HpcSample {
-                        instructions,
-                        cycle,
-                        values,
-                    };
-                    if let Some(mode) = on_sample(sample) {
-                        self.set_mitigation(mode);
-                    }
-                }
-                SampledStep::Done(result) => return *result,
-            }
-        }
+        self.run_sampled_with_schedule(
+            program,
+            max_instrs,
+            sample_interval,
+            SampleSchedule::default(),
+            on_sample,
+        )
     }
 
     /// Starts an incremental sampled run, returning a [`SampledCursor`]
@@ -760,6 +743,9 @@ impl Cpu {
         let mut cursor = self.begin_sampled_with_schedule(max_instrs, sample_interval, schedule);
         let dim = crate::hpc::dim_for(self.config());
         loop {
+            // The retained delta row is the window's only allocation:
+            // counters are read straight into it, then converted to
+            // deltas in place while the absolute values move to `prev`.
             let mut values = vec![0.0f64; dim];
             match cursor.next_window_into(self, program, &mut values) {
                 SampledStep::Window {

@@ -18,9 +18,7 @@
 //! (`crate::device`), the `irq.*`/`dma.*` counters follow the energy tail.
 //! A disabled sensor or device subsystem is bitwise-invisible (golden tests
 //! pin this). The counter list a given configuration exports is described
-//! by [`crate::schema::FeatureSchema`]; prefer
-//! `FeatureSchema::for_config(cfg).dim()` over the deprecated fixed-width
-//! [`hpc_dim`]/[`hpc_names`] accessors.
+//! by [`crate::schema::FeatureSchema`].
 
 use std::sync::OnceLock;
 
@@ -335,17 +333,6 @@ fn visit_tlb(f: &mut impl FnMut(&'static str, f64), which: &'static str, s: &Tlb
     }
 }
 
-/// Dimension of the **baseline** HPC vector.
-#[deprecated(
-    since = "0.9.0",
-    note = "window width is configuration-dependent now; use \
-            `FeatureSchema::for_config(cfg).dim()` (or `hpc::dim_for`) \
-            instead of assuming the fixed baseline width"
-)]
-pub fn hpc_dim() -> usize {
-    HPC_BASE_DIM
-}
-
 /// Fills `out` with the counter vector for this CPU's configuration,
 /// allocation-free.
 ///
@@ -384,16 +371,6 @@ pub(crate) fn base_hpc_names() -> &'static [&'static str] {
     })
 }
 
-/// Canonical **baseline** HPC names.
-#[deprecated(
-    since = "0.9.0",
-    note = "the counter list is configuration-dependent now; use \
-            `FeatureSchema::for_config(cfg)` for names + modality tags"
-)]
-pub fn hpc_names() -> &'static [&'static str] {
-    base_hpc_names()
-}
-
 /// The counter vector for this CPU's configuration (order matches
 /// `FeatureSchema::for_config(cpu.config())`).
 /// Convenience wrapper; the sampling hot path uses [`hpc_vector_into`].
@@ -430,18 +407,6 @@ mod tests {
         assert_eq!(hpc_vector(&cpu).len(), HPC_BASE_DIM);
         assert_eq!(FeatureSchema::baseline().dim(), HPC_BASE_DIM);
         assert_eq!(dim_for(&CpuConfig::default()), HPC_BASE_DIM);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_agree_with_schema() {
-        // External-facing compat only: the shims must keep answering with
-        // the baseline schema. Internal callers use FeatureSchema.
-        assert_eq!(hpc_dim(), FeatureSchema::baseline().dim());
-        let schema = FeatureSchema::baseline();
-        for (shim, schema_name) in hpc_names().iter().zip(schema.names()) {
-            assert_eq!(*shim, schema_name);
-        }
     }
 
     #[test]

@@ -68,9 +68,6 @@ pub use device::{
     DEVICE_NAMES, DMA_DST_BASE, DMA_LINE_BYTES, DMA_SRC_BASE, NUM_IRQ_VECTORS,
 };
 pub use energy::{EnergyWeights, SensorConfig, SensorConfigBuilder, ENERGY_DIM, ENERGY_NAMES};
-// The deprecated `hpc::hpc_dim`/`hpc::hpc_names` shims stay reachable
-// through the `hpc` module for external compat, but are no longer
-// re-exported at the crate root: `FeatureSchema` is the supported API.
 pub use hpc::{dim_for, for_each_hpc, hpc_index, hpc_vector, hpc_vector_into, HPC_BASE_DIM};
 pub use isa::{Program, ProgramBuilder};
 pub use schema::{FeatureSchema, Modality};
