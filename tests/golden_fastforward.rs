@@ -9,6 +9,9 @@
 //!   plain `run_sampled` (the no-breakage contract for existing callers).
 //! * The snapshot file reader must reject truncated/corrupt files with
 //!   typed `EvaxError`s, never a diverged simulation.
+//! * The snapshot bytes themselves are pinned (cold, detailed and
+//!   fast-forwarded cores), so a reordering of state words that still
+//!   round-trips cannot silently break existing snapshot files.
 //! * Slow-gated: fast-forward warm-up is approximate **by contract**; the
 //!   drift test quantifies it across the full registry and asserts the
 //!   per-program verdict flip rate stays bounded (same spirit as
@@ -256,6 +259,64 @@ fn snapshot_resume_is_bitwise_identical_at_1_4_16_threads() {
             "outcomes must not depend on thread count ({threads} threads)"
         );
     }
+}
+
+/// FNV-1a over a core's on-disk snapshot bytes.
+fn snapshot_bytes_digest(cpu: &mut Cpu) -> u64 {
+    cpu.snapshot()
+        .to_bytes()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// The snapshot word order is an on-disk format: old snapshot files must
+/// keep restoring. The save→restore round trip cannot see a consistent
+/// reordering of words, so the exact bytes are pinned here for a cold core,
+/// for detailed runs with a mid-run mitigation switch, and for
+/// fast-forwarded cores.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    let classes = [
+        AttackClass::SpectrePht,
+        AttackClass::SpectreBtb,
+        AttackClass::Meltdown,
+        AttackClass::PrimeProbe,
+    ];
+    let mut got = vec![(
+        "cold".to_string(),
+        snapshot_bytes_digest(&mut Cpu::new(CpuConfig::default())),
+    )];
+    for (i, &class) in classes.iter().enumerate() {
+        let program = attack_program(class, 0x5A0 + i as u64);
+        let mut cpu = fresh_cpu();
+        cpu.run(&program, 3_000);
+        cpu.set_mitigation(MitigationMode::InvisiSpecFuturistic);
+        cpu.run(&program, 3_000);
+        got.push((
+            format!("{class:?}/detailed"),
+            snapshot_bytes_digest(&mut cpu),
+        ));
+        let mut cpu = fresh_cpu();
+        cpu.fast_forward(&program, 6_000);
+        got.push((format!("{class:?}/ff"), snapshot_bytes_digest(&mut cpu)));
+    }
+    let want: Vec<(String, u64)> = [
+        ("cold", 0xf8be_c979_1bd2_6340),
+        ("SpectrePht/detailed", 0xb387_68cf_2371_7254),
+        ("SpectrePht/ff", 0x23c7_3f63_a14d_788c),
+        ("SpectreBtb/detailed", 0x86e1_d63a_3dd5_162c),
+        ("SpectreBtb/ff", 0xcf1d_663e_91e5_0bf3),
+        ("Meltdown/detailed", 0xd95c_e69b_353c_829c),
+        ("Meltdown/ff", 0x17cc_7ce9_24c8_2cda),
+        ("PrimeProbe/detailed", 0x2d7a_9a44_574c_3248),
+        ("PrimeProbe/ff", 0x5c5a_5984_2b46_4f5d),
+    ]
+    .iter()
+    .map(|&(k, v)| (k.to_string(), v))
+    .collect();
+    assert_eq!(got, want, "snapshot bytes changed");
 }
 
 /// `warmup_instrs == 0` reduces the schedule to plain detailed sampling:
