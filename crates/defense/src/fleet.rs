@@ -6,26 +6,28 @@
 //! tenant to completion. This module is the many-tenant deployment shape:
 //!
 //! * **Streams** — one per simulated tenant, seeded deterministically from
-//!   the attack/benign registry. Each stream owns a [`Cpu`] plus a
-//!   [`SampledCursor`], so it advances one sampling window at a time
-//!   without restarting its program.
+//!   the attack/benign registry. A stream's [`Cpu`] is built when the
+//!   stream starts, and a [`SampledCursor`](evax_sim::SampledCursor)
+//!   advances it one sampling window at a time.
 //! * **Shards** — streams are assigned round-robin to a *fixed* number of
 //!   shards ([`evax_core::par::round_robin_shards`]); shards fan out over
 //!   [`evax_core::par::map`]. The shard count comes from configuration,
 //!   never from the worker count, so the work decomposition is identical at
 //!   any thread count.
-//! * **Verdicts where windows are produced** — a shard steps its live
-//!   streams round-robin, one window each per pass, and verdicts every
-//!   window right after the cursor returns it: the shard's one
-//!   [`VerdictStep`] featurizes, scores and moves the stream's
-//!   [`SecureModeState`], and the mitigation switch goes to the stream's
-//!   core before it runs another instruction. This is the same step the
-//!   single-stream [`AdaptiveController`] applies.
+//! * **One stream at a time** — a shard runs each of its streams to
+//!   completion in turn and drops its core before building the next, so at
+//!   most one core per worker is live. Every window is verdicted right after
+//!   the cursor returns it: the shard's one [`VerdictStep`] featurizes,
+//!   scores and moves the stream's [`SecureModeState`], and the mitigation
+//!   switch goes to the stream's core before it runs another instruction.
+//!   This is the same step the single-stream [`AdaptiveController`] applies.
 //!
 //! # Determinism contract
 //!
 //! A window's verdict depends only on its own counters and its stream's
-//! state, never on the other streams of the shard or on the thread count.
+//! state, never on the other streams of the shard or on the thread count:
+//! the [`VerdictStep`] carries only scratch buffers between streams, so the
+//! order in which a shard runs its streams cannot change any verdict.
 //! `FleetReport`'s deterministic block is **byte-identical** at 1, 4, or 16
 //! threads; the `fleet` bench binary's determinism test pins this.
 //!
@@ -36,7 +38,7 @@ use std::time::Instant;
 
 use evax_core::par::{self, round_robin_shards, Parallelism};
 use evax_core::prelude::{Detector, Featurizer, ModelDetector};
-use evax_sim::{Cpu, CpuConfig, Program, RunResult, SampledCursor, SampledStep};
+use evax_sim::{Cpu, CpuConfig, Program, SampledStep};
 use rand::SeedableRng;
 
 use crate::adaptive::{AdaptiveConfig, SecureModeState, VerdictStep};
@@ -142,7 +144,8 @@ pub struct FleetReport {
     pub outcomes: Vec<StreamOutcome>,
     /// Wall-clock nanoseconds from window production to verdict
     /// application (featurize, score, secure-mode transition, mitigation
-    /// switch), one entry per window, in shard-major order.
+    /// switch), one entry per window: shard by shard, and stream by stream
+    /// within a shard.
     pub latencies_ns: Vec<u64>,
     /// Always 0: every window gets its verdict where it is produced, so
     /// nothing is batched or flushed. Kept so reports built by struct
@@ -251,18 +254,6 @@ impl FleetReport {
     }
 }
 
-/// One tenant stream: program + core + resumable cursor + secure-mode state.
-struct FleetStream {
-    id: usize,
-    class_label: usize,
-    program: Program,
-    cpu: Cpu,
-    cursor: SampledCursor,
-    state: SecureModeState,
-    windows: u64,
-    result: Option<RunResult>,
-}
-
 /// Builds stream `id`'s program deterministically from the registry: the
 /// program choice and its seed depend only on `(cfg.seed, id)`.
 fn stream_program(id: usize, cfg: &FleetConfig) -> (Program, usize) {
@@ -297,7 +288,7 @@ type WarmPool = HashMap<String, Cpu>;
 /// the shard fan-out, so the pool is identical at any thread count): the
 /// representative is fast-forwarded through half the stream budget and
 /// snapshotted. That prefix then counts against every forked stream's
-/// retirement budget (see [`build_stream`]), so half of each tenant's
+/// retirement budget (see [`run_shard`]), so half of each tenant's
 /// instructions retire once per class at functional speed instead of per
 /// stream at detailed speed. Programs that finish inside the warm-up budget
 /// stay cold — they are cheap to run exactly, and a fully retired core has
@@ -325,32 +316,6 @@ fn build_warm_pool(cfg: &FleetConfig, cpu_cfg: &CpuConfig) -> WarmPool {
     pool
 }
 
-/// Builds stream `id`: its registry program plus a core — forked from the
-/// class's warm snapshot when the pool has one, cold otherwise.
-fn build_stream(id: usize, cfg: &FleetConfig, cpu_cfg: &CpuConfig, pool: &WarmPool) -> FleetStream {
-    let (program, class_label) = stream_program(id, cfg);
-    let mut cpu = match pool.get(program.name()) {
-        Some(template) => template.clone(),
-        None => Cpu::new(cpu_cfg.clone()),
-    };
-    // `max_instrs` is the stream's total retirement budget: instructions the
-    // warm template already retired functionally (once per program class, at
-    // fast-forward speed) are not re-run on the detailed core per stream —
-    // that amortization is what makes warm-start a throughput win.
-    let budget = cfg.max_instrs.saturating_sub(cpu.stats().committed_insts);
-    let cursor = cpu.begin_sampled(budget, cfg.adaptive.sample_interval);
-    FleetStream {
-        id,
-        class_label,
-        program,
-        cpu,
-        cursor,
-        state: SecureModeState::default(),
-        windows: 0,
-        result: None,
-    }
-}
-
 /// What one shard hands back: outcomes, window→verdict latencies, and the
 /// CPU nanoseconds spent stepping cores and verdicting windows.
 type ShardResult = (Vec<StreamOutcome>, Vec<u64>, u64, u64);
@@ -359,9 +324,11 @@ fn elapsed_ns(t0: Instant) -> u64 {
     t0.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Runs one shard to completion: round-robin passes over its live streams,
-/// one window per stream per pass, each verdict applied to its stream the
-/// moment the window is produced.
+/// Runs one shard to completion, one stream at a time: each stream's core
+/// is built (forked from its class's warm template when the pool has one,
+/// cold otherwise), run to the end of its budget with every window verdicted
+/// the moment it is produced, and dropped before the next stream starts. At
+/// most one core per worker is live.
 fn run_shard(
     indices: &[usize],
     cfg: &FleetConfig,
@@ -369,53 +336,54 @@ fn run_shard(
     mut step: VerdictStep<'_>,
     pool: &WarmPool,
 ) -> ShardResult {
-    let mut streams: Vec<FleetStream> = indices
-        .iter()
-        .map(|&id| build_stream(id, cfg, cpu_cfg, pool))
-        .collect();
     let mut raw = vec![0.0f64; evax_sim::dim_for(cpu_cfg)];
     let mut latencies: Vec<u64> = Vec::new();
     // Sim-vs-verdict CPU split. Pure observability — never branches behavior.
     let mut sim_ns = 0u64;
     let mut infer_ns = 0u64;
-    let mut live: Vec<usize> = (0..streams.len()).collect();
-    while !live.is_empty() {
-        live.retain(|&slot| {
-            let s = &mut streams[slot];
-            let t0 = Instant::now();
-            let produced = s.cursor.next_window_into(&mut s.cpu, &s.program, &mut raw);
-            sim_ns += elapsed_ns(t0);
-            match produced {
-                SampledStep::Window { cycle, .. } => {
-                    s.windows += 1;
-                    let t0 = Instant::now();
-                    if let Some(mode) = step.apply(&mut s.state, &raw, cycle, &cfg.adaptive) {
-                        s.cpu.set_mitigation(mode);
+    let outcomes = indices
+        .iter()
+        .map(|&id| {
+            let (program, class_label) = stream_program(id, cfg);
+            let mut cpu = match pool.get(program.name()) {
+                Some(template) => template.clone(),
+                None => Cpu::new(cpu_cfg.clone()),
+            };
+            // `max_instrs` is the stream's total retirement budget:
+            // instructions the warm template already retired functionally
+            // (once per program class, at fast-forward speed) are not re-run
+            // on the detailed core per stream — that amortization is what
+            // makes warm-start a throughput win.
+            let budget = cfg.max_instrs.saturating_sub(cpu.stats().committed_insts);
+            let mut cursor = cpu.begin_sampled(budget, cfg.adaptive.sample_interval);
+            let mut state = SecureModeState::default();
+            let mut windows = 0;
+            let result = loop {
+                let t0 = Instant::now();
+                let produced = cursor.next_window_into(&mut cpu, &program, &mut raw);
+                sim_ns += elapsed_ns(t0);
+                match produced {
+                    SampledStep::Window { cycle, .. } => {
+                        windows += 1;
+                        let t0 = Instant::now();
+                        if let Some(mode) = step.apply(&mut state, &raw, cycle, &cfg.adaptive) {
+                            cpu.set_mitigation(mode);
+                        }
+                        let ns = elapsed_ns(t0);
+                        latencies.push(ns);
+                        infer_ns += ns;
                     }
-                    let ns = elapsed_ns(t0);
-                    latencies.push(ns);
-                    infer_ns += ns;
-                    true
+                    SampledStep::Done(result) => break *result,
                 }
-                SampledStep::Done(result) => {
-                    s.result = Some(*result);
-                    false
-                }
-            }
-        });
-    }
-    let outcomes = streams
-        .into_iter()
-        .map(|s| {
-            let result = s.result.expect("stream left the live set only when done");
+            };
             StreamOutcome {
-                stream_id: s.id,
-                class_label: s.class_label,
-                windows: s.windows,
-                flags: s.state.flags,
-                fail_secure_switches: s.state.fail_secure_switches,
-                first_flag_cycle: s.state.first_flag_cycle,
-                secure_instructions: s.state.secure_instructions,
+                stream_id: id,
+                class_label,
+                windows,
+                flags: state.flags,
+                fail_secure_switches: state.fail_secure_switches,
+                first_flag_cycle: state.first_flag_cycle,
+                secure_instructions: state.secure_instructions,
                 committed_instructions: result.committed_instructions,
                 cycles: result.cycles,
             }

@@ -18,9 +18,9 @@
 //! * [`overhead`] — end-to-end overhead measurement: always-on vs. adaptive
 //!   across the benign workload suite (Fig. 16's bars), plus IPC timelines
 //!   (Fig. 14's series).
-//! * [`fleet`] — the many-tenant deployment shape: thousands of interleaved
-//!   tenant streams round-robin sharded over [`evax_core::par`], each
-//!   window verdicted by the same [`adaptive::VerdictStep`] where it is
+//! * [`fleet`] — the many-tenant deployment shape: thousands of tenant
+//!   streams round-robin sharded over [`evax_core::par`], each shard running
+//!   its streams one at a time and each window verdicted by the same [`adaptive::VerdictStep`] where it is
 //!   produced (optionally scored by the paper's 9-bit integer hardware
 //!   model).
 //!

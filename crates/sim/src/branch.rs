@@ -141,9 +141,14 @@ impl Default for TournamentPredictor {
 }
 
 /// Branch-target buffer: direct-mapped, tagged.
+///
+/// Each slot stores its branch's `pc + 1` as the tag, so 0 marks an empty
+/// slot and a new table is a zeroed allocation. A branch at `usize::MAX`
+/// cannot be installed.
 #[derive(Debug, Clone)]
 pub struct Btb {
-    entries: Vec<Option<(usize, usize)>>, // (tag pc, target)
+    tags: Vec<usize>,
+    targets: Vec<usize>,
 }
 
 impl Btb {
@@ -154,52 +159,47 @@ impl Btb {
     pub fn new(entries: usize) -> Self {
         assert!(entries > 0, "BTB must have entries");
         Btb {
-            entries: vec![None; entries],
+            tags: vec![0; entries],
+            targets: vec![0; entries],
         }
     }
 
     /// Looks up the predicted target for the branch at `pc`.
     pub fn lookup(&self, pc: usize) -> Option<usize> {
-        match self.entries[pc % self.entries.len()] {
-            Some((tag, target)) if tag == pc => Some(target),
-            _ => None,
-        }
+        let slot = pc % self.tags.len();
+        let tag = self.tags[slot];
+        (tag != 0 && tag - 1 == pc).then_some(self.targets[slot])
     }
 
     /// Installs/updates the target for `pc`. Aliasing overwrites — the
     /// property Spectre-BTB mistraining exploits.
     pub fn update(&mut self, pc: usize, target: usize) {
-        let len = self.entries.len();
-        self.entries[pc % len] = Some((pc, target));
+        let slot = pc % self.tags.len();
+        self.tags[slot] = pc.wrapping_add(1);
+        self.targets[slot] = target;
     }
 
-    /// Appends BTB contents to a snapshot word stream (3 words per slot).
+    /// Appends BTB contents to a snapshot word stream: per slot, a present
+    /// flag, the branch pc and the target (`0, 0, 0` when empty).
     pub(crate) fn save_state(&self, out: &mut Vec<u64>) {
-        for entry in &self.entries {
-            match entry {
-                Some((tag, target)) => {
-                    out.push(1);
-                    out.push(*tag as u64);
-                    out.push(*target as u64);
-                }
-                None => {
-                    out.push(0);
-                    out.push(0);
-                    out.push(0);
-                }
+        for (&tag, &target) in self.tags.iter().zip(&self.targets) {
+            match tag {
+                0 => out.extend_from_slice(&[0, 0, 0]),
+                _ => out.extend_from_slice(&[1, (tag - 1) as u64, target as u64]),
             }
         }
     }
 
-    /// Restores state written by [`Btb::save_state`].
+    /// Restores state written by [`Btb::save_state`]. Returns `None` on a
+    /// truncated stream, a bad present flag, or a pc that has no tag.
     pub(crate) fn load_state(&mut self, w: &mut std::slice::Iter<'_, u64>) -> Option<()> {
-        for entry in &mut self.entries {
+        for slot in 0..self.tags.len() {
             let present = *w.next()?;
-            let tag = usize::try_from(*w.next()?).ok()?;
+            let pc = usize::try_from(*w.next()?).ok()?;
             let target = usize::try_from(*w.next()?).ok()?;
-            *entry = match present {
-                0 => None,
-                1 => Some((tag, target)),
+            (self.tags[slot], self.targets[slot]) = match present {
+                0 => (0, 0),
+                1 => (pc.checked_add(1)?, target),
                 _ => return None,
             };
         }
@@ -366,6 +366,77 @@ mod tests {
         assert_eq!(b.lookup(21), None); // same slot, different tag
         b.update(21, 200);
         assert_eq!(b.lookup(5), None); // evicted by aliasing
+        assert_eq!(b.lookup(21), Some(200));
+        // Slot 0, whose tag is pc + 1 = 1, aliases the same way.
+        b.update(0, 300);
+        b.update(16, 400);
+        assert_eq!(b.lookup(0), None);
+        assert_eq!(b.lookup(16), Some(400));
+        b.update(0, 500);
+        assert_eq!(b.lookup(0), Some(500));
+        assert_eq!(b.lookup(16), None);
+    }
+
+    #[test]
+    fn empty_btb_never_hits_pc_zero() {
+        let b = Btb::new(16);
+        for pc in [0, 16, usize::MAX] {
+            assert_eq!(b.lookup(pc), None, "pc {pc}");
+        }
+        let mut words = Vec::new();
+        b.save_state(&mut words);
+        assert!(words.iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn btb_snapshot_words_round_trip_pc_zero() {
+        let mut b = Btb::new(4);
+        b.update(0, 9);
+        b.update(6, 11);
+        let mut words = Vec::new();
+        b.save_state(&mut words);
+        assert_eq!(words, [1, 0, 9, 0, 0, 0, 1, 6, 11, 0, 0, 0]);
+        let mut restored = Btb::new(4);
+        assert_eq!(restored.load_state(&mut words.iter()), Some(()));
+        assert_eq!(restored.lookup(0), Some(9));
+        assert_eq!(restored.lookup(6), Some(11));
+        assert_eq!(restored.lookup(1), None);
+    }
+
+    /// Through the public restore path, the same slot is a typed
+    /// malformed-snapshot error rather than a panic or a wrapped tag.
+    #[test]
+    fn restore_rejects_a_btb_pc_without_a_tag() {
+        use crate::isa::{ProgramBuilder, Reg};
+        use crate::{Cpu, CpuConfig, SnapshotError};
+        const TARGET: u64 = 1029;
+        let mut p = ProgramBuilder::new("btb-slot");
+        p.li(Reg::new(1), TARGET);
+        while p.here() < 517 {
+            p.nop();
+        }
+        p.jmp_ind(Reg::new(1));
+        while (p.here() as u64) < TARGET {
+            p.nop();
+        }
+        p.halt();
+        let mut cpu = Cpu::new(CpuConfig::default());
+        cpu.fast_forward(&p.build(), 10_000);
+        let mut snap = cpu.snapshot();
+        let slots: Vec<usize> = snap
+            .cpu_words
+            .windows(3)
+            .enumerate()
+            .filter(|(_, w)| *w == [1, 517, TARGET])
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(slots.len(), 1, "one installed BTB slot");
+        assert!(Cpu::restore(CpuConfig::default(), &snap).is_ok());
+        snap.cpu_words[slots[0] + 1] = u64::MAX;
+        assert!(matches!(
+            Cpu::restore(CpuConfig::default(), &snap),
+            Err(SnapshotError::Malformed { .. })
+        ));
     }
 
     #[test]

@@ -36,23 +36,10 @@ pub struct CacheStats {
     pub prefetch_hits: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    prefetched: bool,
-    /// LRU timestamp (higher = more recent).
-    lru: u64,
-}
-
-const INVALID: Line = Line {
-    tag: 0,
-    valid: false,
-    dirty: false,
-    prefetched: false,
-    lru: 0,
-};
+/// Line flag bits, laid out as the snapshot's per-line flags word.
+const VALID: u8 = 1;
+const DIRTY: u8 = 2;
+const PREFETCHED: u8 = 4;
 
 /// Result of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,10 +56,19 @@ pub struct CacheAccess {
 }
 
 /// A single cache level.
+///
+/// Line state is stored flat, one array per field, indexed
+/// `set * ways + way`. A line whose flags are zero is invalid, so a new
+/// cache is three zeroed allocations: the pages of a large, mostly unused
+/// L2 are never touched, and dropping it is three frees.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    sets: u64,
+    tags: Vec<u64>,
+    flags: Vec<u8>,
+    /// LRU timestamps (higher = more recent).
+    lru: Vec<u64>,
     stats: CacheStats,
     tick: u64,
     /// Completion times of in-flight misses, for MSHR occupancy.
@@ -88,9 +84,12 @@ impl Cache {
         if let Err(e) = cfg.validate() {
             panic!("invalid cache config: {e}");
         }
-        let sets = vec![vec![INVALID; cfg.ways]; cfg.sets()];
+        let lines = cfg.sets() * cfg.ways;
         Cache {
-            sets,
+            sets: cfg.sets() as u64,
+            tags: vec![0; lines],
+            flags: vec![0; lines],
+            lru: vec![0; lines],
             stats: CacheStats::default(),
             tick: 0,
             mshr_busy_until: Vec::new(),
@@ -108,17 +107,25 @@ impl Cache {
         &self.stats
     }
 
-    fn index(&self, addr: u64) -> (usize, u64) {
+    /// The line slots of `addr`'s set, and its tag.
+    fn index(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
         let line_addr = addr / self.cfg.line as u64;
-        let set = (line_addr % self.sets.len() as u64) as usize;
-        (set, line_addr)
+        let first = (line_addr % self.sets) as usize * self.cfg.ways;
+        (first..first + self.cfg.ways, line_addr)
+    }
+
+    /// The slot holding a valid line with `tag`, if any.
+    fn find(&self, slots: std::ops::Range<usize>, tag: u64) -> Option<usize> {
+        slots
+            .into_iter()
+            .find(|&i| self.flags[i] & VALID != 0 && self.tags[i] == tag)
     }
 
     /// `true` if `addr`'s line is present (no state change, no stats) —
     /// used by tests and the attack harness's "probe without touching".
     pub fn contains(&self, addr: u64) -> bool {
-        let (set, tag) = self.index(addr);
-        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+        let (slots, tag) = self.index(addr);
+        self.find(slots, tag).is_some()
     }
 
     /// Performs a read/write lookup at time `now`; on a miss the caller is
@@ -126,19 +133,18 @@ impl Cache {
     /// [`Cache::fill`] (unless running invisibly).
     pub fn access(&mut self, addr: u64, write: bool, now: u64) -> CacheAccess {
         self.tick += 1;
-        let (set, tag) = self.index(addr);
-        let ways = &mut self.sets[set];
-        if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = self.tick;
+        let (slots, tag) = self.index(addr);
+        if let Some(i) = self.find(slots, tag) {
+            self.lru[i] = self.tick;
             if write {
-                line.dirty = true;
+                self.flags[i] |= DIRTY;
                 self.stats.write_hits += 1;
             } else {
                 self.stats.read_hits += 1;
             }
-            if line.prefetched {
+            if self.flags[i] & PREFETCHED != 0 {
                 self.stats.prefetch_hits += 1;
-                line.prefetched = false;
+                self.flags[i] &= !PREFETCHED;
             }
             return CacheAccess {
                 hit: true,
@@ -179,90 +185,82 @@ impl Cache {
     /// the base address of the evicted line, if one was valid.
     pub fn fill(&mut self, addr: u64, dirty: bool, prefetched: bool) -> Option<u64> {
         self.tick += 1;
-        let tick = self.tick;
-        let line_bytes = self.cfg.line as u64;
-        let sets_len = self.sets.len() as u64;
-        let (set, tag) = self.index(addr);
-        let ways = &mut self.sets[set];
+        let (slots, tag) = self.index(addr);
         // Already present (racing fills): just update.
-        if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.dirty |= dirty;
-            line.lru = tick;
+        if let Some(i) = self.find(slots.clone(), tag) {
+            if dirty {
+                self.flags[i] |= DIRTY;
+            }
+            self.lru[i] = self.tick;
             return None;
         }
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.lru } else { 0 })
+        // The first invalid way, otherwise the least recently used one.
+        let victim = slots
+            .min_by_key(|&i| {
+                if self.flags[i] & VALID != 0 {
+                    self.lru[i]
+                } else {
+                    0
+                }
+            })
             .expect("cache has ways");
-        let evicted = if victim.valid {
-            if victim.dirty {
+        let old = self.flags[victim];
+        let evicted = if old & VALID != 0 {
+            if old & DIRTY != 0 {
                 self.stats.writebacks += 1;
             } else {
                 self.stats.clean_evicts += 1;
             }
-            Some(victim.tag * line_bytes)
+            Some(self.tags[victim] * self.cfg.line as u64)
         } else {
             None
         };
         if prefetched {
             self.stats.prefetch_fills += 1;
         }
-        *victim = Line {
-            tag,
-            valid: true,
-            dirty,
-            prefetched,
-            lru: tick,
-        };
-        debug_assert_eq!(tag % sets_len, set as u64);
+        self.tags[victim] = tag;
+        self.flags[victim] =
+            VALID | if dirty { DIRTY } else { 0 } | if prefetched { PREFETCHED } else { 0 };
+        self.lru[victim] = self.tick;
         evicted
     }
 
     /// Invalidates the line containing `addr` (`clflush`). Returns `true` if
     /// a line was present.
     pub fn flush_line(&mut self, addr: u64) -> bool {
-        let (set, tag) = self.index(addr);
-        for line in &mut self.sets[set] {
-            if line.valid && line.tag == tag {
-                *line = INVALID;
-                self.stats.flushes += 1;
-                return true;
-            }
-        }
-        false
+        let (slots, tag) = self.index(addr);
+        let Some(i) = self.find(slots, tag) else {
+            return false;
+        };
+        self.tags[i] = 0;
+        self.flags[i] = 0;
+        self.lru[i] = 0;
+        self.stats.flushes += 1;
+        true
     }
 
     /// Invalidates everything (used at secure-mode entry by some policies).
     pub fn flush_all(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                if line.valid {
-                    self.stats.flushes += 1;
-                }
-                *line = INVALID;
-            }
-        }
+        self.stats.flushes += self.occupancy() as u64;
+        self.tags.fill(0);
+        self.flags.fill(0);
+        self.lru.fill(0);
     }
 
     /// Number of valid lines currently resident.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().flatten().filter(|l| l.valid).count()
+        self.flags.iter().filter(|&&f| f & VALID != 0).count()
     }
 
-    /// Appends the full cache state (lines, LRU clock, in-flight MSHR
-    /// deadlines, statistics) to a snapshot word stream. Geometry is not
-    /// recorded — it is re-derived from the [`CacheConfig`] at restore, which
-    /// the snapshot header fingerprints.
+    /// Appends the full cache state (LRU clock, then tag, flags and LRU
+    /// stamp per line in slot order, then in-flight MSHR deadlines and
+    /// statistics) to a snapshot word stream. Geometry is not recorded — it
+    /// is re-derived from the [`CacheConfig`] at restore, which the snapshot
+    /// header fingerprints.
     pub(crate) fn save_state(&self, out: &mut Vec<u64>) {
         out.push(self.tick);
-        for set in &self.sets {
-            for line in set {
-                out.push(line.tag);
-                out.push(
-                    line.valid as u64 | (line.dirty as u64) << 1 | (line.prefetched as u64) << 2,
-                );
-                out.push(line.lru);
-            }
+        for i in 0..self.tags.len() {
+            out.extend_from_slice(&[self.tags[i], self.flags[i] as u64, self.lru[i]]);
         }
         out.push(self.mshr_busy_until.len() as u64);
         out.extend_from_slice(&self.mshr_busy_until);
@@ -301,22 +299,10 @@ impl Cache {
     /// malformed stream.
     pub(crate) fn load_state(&mut self, w: &mut std::slice::Iter<'_, u64>) -> Option<()> {
         self.tick = *w.next()?;
-        for set in &mut self.sets {
-            for line in set {
-                let tag = *w.next()?;
-                let flags = *w.next()?;
-                let lru = *w.next()?;
-                if flags > 0b111 {
-                    return None;
-                }
-                *line = Line {
-                    tag,
-                    valid: flags & 1 != 0,
-                    dirty: flags & 2 != 0,
-                    prefetched: flags & 4 != 0,
-                    lru,
-                };
-            }
+        for i in 0..self.tags.len() {
+            self.tags[i] = *w.next()?;
+            self.flags[i] = u8::try_from(*w.next()?).ok().filter(|&f| f <= 0b111)?;
+            self.lru[i] = *w.next()?;
         }
         let n = usize::try_from(*w.next()?).ok()?;
         self.mshr_busy_until.clear();
