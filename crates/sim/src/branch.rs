@@ -262,7 +262,7 @@ impl Ras {
 
     /// Restores a snapshot taken before a (now squashed) speculative region.
     pub fn restore(&mut self, snap: &RasSnapshot) {
-        self.stack = snap.stack.clone();
+        self.stack.clone_from(&snap.stack);
         self.top = snap.top;
         self.used = snap.used;
     }

@@ -27,6 +27,13 @@
 //! reproduces the scan order exactly (ready candidates pop in seq order,
 //! events in `(cycle, seq, kind)` order, matching the scan's index order) —
 //! and the golden-equivalence tests plus debug assertions enforce it.
+//!
+//! Under `FenceSpectre` and `FenceFuturistic`, ready loads the fence holds
+//! back wait on a second seq-ordered heap instead of cycling through the
+//! ready heap. Both fence gates are monotone in seq (a fenced load implies
+//! every younger load is fenced), so releasing them only ever tests the
+//! oldest parked load: at the top of each issue stage, and after each
+//! execute, which can move the boundary mid-cycle.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -360,10 +367,13 @@ pub struct SchedCounters {
     pub events_scheduled: u64,
     /// Peak event-heap occupancy observed after a push.
     pub event_heap_peak: u64,
-    /// Issue candidates pushed onto the ready heap (including re-pushes of
-    /// gate-skipped candidates).
+    /// Issue candidates pushed onto the ready heap: at dispatch or wakeup,
+    /// re-pushes of port- or serialization-skipped candidates, and releases
+    /// of fence-parked loads (a parked load is not re-pushed while its
+    /// fence holds).
     pub ready_pushes: u64,
-    /// Peak ready-heap occupancy observed after a push.
+    /// Peak ready-heap occupancy observed after a push. Fence-parked loads
+    /// wait off the ready heap and do not count.
     pub ready_heap_peak: u64,
 }
 
@@ -438,10 +448,14 @@ pub struct Cpu {
     edge_linked: Vec<bool>,
     /// Seq-ordered min-heap of issue candidates (lazily validated on pop).
     ready: BinaryHeap<Reverse<u64>>,
-    /// Scratch for candidates skipped by issue gating this cycle (ports,
-    /// serialization, fencing); re-pushed after the issue loop. Reused
-    /// across cycles so the hot path never allocates.
+    /// Scratch for candidates skipped by port or serialization gating this
+    /// cycle; re-pushed after the issue loop. Reused across cycles so the
+    /// hot path never allocates.
     ready_skipped: Vec<u64>,
+    /// Seq-ordered min-heap of ready loads parked by a fence gate, held off
+    /// `ready` until the fence boundary passes them (see
+    /// [`Self::release_fenced`]).
+    fenced: BinaryHeap<Reverse<u64>>,
     /// Time-ordered `(due_cycle, seq, kind)` completion/replay events,
     /// lazily validated on pop (squash + seq reuse make events stale).
     events: BinaryHeap<Reverse<(u64, u64, u8)>>,
@@ -540,6 +554,7 @@ impl Cpu {
             edge_linked: vec![false; ring * 2],
             ready: BinaryHeap::with_capacity(ring),
             ready_skipped: Vec::with_capacity(64),
+            fenced: BinaryHeap::new(),
             events: BinaryHeap::with_capacity(ring),
             clean_watermark: 0,
             num_waiting: 0,
@@ -791,6 +806,7 @@ impl Cpu {
         self.unresolved_ctrl.clear();
         self.ready.clear();
         self.ready_skipped.clear();
+        self.fenced.clear();
         self.events.clear();
         for h in &mut self.waiter_head {
             *h = EDGE_NONE;
@@ -1638,9 +1654,13 @@ impl Cpu {
     /// Event-driven issue: pop ready candidates in seq order (identical to
     /// the scan's index order over eligible entries), validate lazily, and
     /// apply the exact gating sequence of the scan scheduler. Candidates
-    /// rejected by *gating* (ports, serialization, fencing) stay ready and
-    /// are re-queued for the next cycle; stale candidates (squashed,
-    /// already executed, or re-blocked by exposure) are dropped.
+    /// rejected by port or serialization gating stay ready and are
+    /// re-queued for the next cycle. Loads rejected by a fence are parked
+    /// on `fenced` instead, and come back onto `ready` only when the fence
+    /// boundary passes them: released at the top of the stage and again
+    /// after each execute, so a fenced load costs nothing per cycle while
+    /// it waits. Stale candidates (squashed, already executed, or
+    /// re-blocked by exposure) are dropped.
     fn issue_stage_event(&mut self) {
         // No execute happens when nothing issues, so `num_waiting` at entry
         // equals the scan's "encountered a Waiting entry" flag whenever the
@@ -1651,6 +1671,9 @@ impl Cpu {
         // cycle steals one of the four memory ports.
         let mut mem_issued = usize::from(self.dma_stole_port);
         debug_assert!(self.ready_skipped.is_empty());
+        if !self.fenced.is_empty() {
+            self.release_fenced(None);
+        }
         let mut last_popped: Option<u64> = None;
         while issued < self.cfg.issue_width {
             let Some(Reverse(seq)) = self.ready.pop() else {
@@ -1679,18 +1702,9 @@ impl Cpu {
                     self.ready_skipped.push(seq);
                     continue;
                 }
-                let shadowed = self.oldest_unresolved_control_before(seq);
-                let mitigation = self.mitigation;
-                match mitigation {
-                    MitigationMode::FenceSpectre if shadowed => {
-                        self.ready_skipped.push(seq);
-                        continue;
-                    }
-                    MitigationMode::FenceFuturistic if !self.all_older_done(seq) => {
-                        self.ready_skipped.push(seq);
-                        continue;
-                    }
-                    _ => {}
+                if self.load_fenced(seq) {
+                    self.fenced.push(Reverse(seq));
+                    continue;
                 }
             }
             if matches!(
@@ -1702,6 +1716,12 @@ impl Cpu {
                 continue;
             }
             self.execute_entry(idx);
+            // A branch it resolved, or its own completion, may lift the
+            // fence off younger parked loads, which then issue this cycle
+            // exactly as the scan would reach them.
+            if !self.fenced.is_empty() {
+                self.release_fenced(Some(seq));
+            }
             if op.is_memory() {
                 mem_issued += 1;
             }
@@ -1716,6 +1736,44 @@ impl Cpu {
         }
         if had_waiting && issued == 0 {
             self.stats.iq_operand_stall_cycles += 1;
+        }
+    }
+
+    /// `true` if the active mitigation holds back the load at `seq`: under
+    /// `FenceSpectre` while an older control instruction is unresolved,
+    /// under `FenceFuturistic` until every older instruction is cleanly
+    /// done. Both gates are monotone in seq: if the load at `seq` is fenced,
+    /// every younger load is fenced too.
+    fn load_fenced(&mut self, seq: u64) -> bool {
+        match self.mitigation {
+            MitigationMode::FenceSpectre => self.oldest_unresolved_control_before(seq),
+            MitigationMode::FenceFuturistic => !self.all_older_done(seq),
+            _ => false,
+        }
+    }
+
+    /// Moves parked loads the fence no longer holds back onto `ready`, in
+    /// seq order. By monotonicity only the minimum needs testing: release
+    /// stops at the first load still fenced. Seqs no longer in flight
+    /// (squashed) are dropped before the test, which is defined only for
+    /// in-flight entries. `executed` is the seq whose execution triggered
+    /// the release; it can only lift the fence off younger loads.
+    ///
+    /// Kept out of line, and called only when `fenced` is non-empty, so an
+    /// unfenced run pays one emptiness check per call site and the issue
+    /// loop's code is otherwise unchanged.
+    #[inline(never)]
+    fn release_fenced(&mut self, executed: Option<u64>) {
+        while let Some(&Reverse(seq)) = self.fenced.peek() {
+            let in_flight = self.rob_index_of(seq).is_some();
+            if in_flight && self.load_fenced(seq) {
+                break;
+            }
+            self.fenced.pop();
+            if in_flight {
+                debug_assert!(executed.is_none_or(|p| seq > p));
+                self.push_ready(seq);
+            }
         }
     }
 
@@ -2233,8 +2291,8 @@ impl Cpu {
                 self.stats.bp_ras_incorrect += 1;
             }
             // Restore the RAS to its post-this-instruction state.
-            if let Some(snap) = self.rob[idx].ras_snap.clone() {
-                self.ras.restore(&snap);
+            if let Some(snap) = &self.rob[idx].ras_snap {
+                self.ras.restore(snap);
             }
             self.squash_younger_than(seq, actual_next, false);
         }
