@@ -14,12 +14,11 @@ use evax::attacks::benign::Scale;
 use evax::attacks::{
     build_attack, build_benign, AttackClass, BenignKind, KernelParams, ATTACK_CLASSES, BENIGN_KINDS,
 };
+use evax::core::collect::{collect_corpus_stats, CollectConfig};
 use evax::core::dataset::{Dataset, Normalizer, Sample, BENIGN_CLASS};
 use evax::core::detector::{Detector, DetectorKind, TrainConfig};
-use evax::core::featurize::{
-    DatasetSink, Featurizer, ProgramSource, StreamStats, VerdictSink, WindowSource,
-};
-use evax::core::par::{self, Parallelism};
+use evax::core::featurize::{Featurizer, ProgramSource, StreamStats, VerdictSink, WindowSource};
+use evax::core::par::Parallelism;
 use evax::defense::{run_adaptive, AdaptiveConfig, Policy};
 use evax::sim::isa::Program;
 use evax::sim::{Cpu, CpuConfig, MitigationMode};
@@ -78,35 +77,19 @@ fn oracle_collect(corpus: &[(usize, Program)], max_instrs: u64) -> (Dataset, Nor
     (ds, norm)
 }
 
-/// The streaming path under test: per-stream fit (StreamStats) fanned out
-/// over `par`, merged in canonical order, then a re-simulating emit pass.
+/// The collection under test: the production routine on the same corpus.
 fn streaming_collect(
     corpus: &[(usize, Program)],
     max_instrs: u64,
     parallelism: Parallelism,
 ) -> (Dataset, StreamStats) {
-    let cpu_cfg = CpuConfig::default();
-    let dim = evax::sim::HPC_BASE_DIM;
-    let per_run = par::map(parallelism, corpus, |(_, program)| {
-        let mut stats = StreamStats::new(dim);
-        ProgramSource::new(program, &cpu_cfg, INTERVAL, max_instrs).stream(&mut stats);
-        stats
-    });
-    let mut stats = StreamStats::new(dim);
-    for s in &per_run {
-        stats.merge(s);
-    }
-    let norm = stats.normalizer();
-    let per_ds = par::map(parallelism, corpus, |(class, program)| {
-        let mut sink = DatasetSink::new(&norm, *class);
-        ProgramSource::new(program, &cpu_cfg, INTERVAL, max_instrs).stream(&mut sink);
-        sink.into_dataset()
-    });
-    let mut ds = Dataset::new();
-    for d in per_ds {
-        ds.extend(d);
-    }
-    (ds, stats)
+    let cfg = CollectConfig {
+        interval: INTERVAL,
+        max_instrs,
+        parallelism,
+        ..CollectConfig::default()
+    };
+    collect_corpus_stats(corpus, &cfg)
 }
 
 /// Asserts two datasets are identical with floats compared by bits.
