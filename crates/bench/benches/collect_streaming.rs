@@ -1,10 +1,10 @@
 //! Streaming vs. materializing collection throughput.
 //!
-//! The streaming path pays one extra simulation pass (fit, then re-simulate
-//! to emit) to keep working memory at O(dim) per worker; the materializing
-//! baseline simulates once but holds every raw `f64` window. This bench
-//! puts a number on the time side of that trade at a small corpus — the
-//! memory side is the `collect_rss` binary (`BENCH_stream.json`).
+//! Both paths simulate every run once. The streaming path parks each window
+//! in its `f32` sample buffer and normalizes it in place; the materializing
+//! baseline holds every raw `f64` window. This bench puts a number on the
+//! time side at a small corpus — the memory side is the `collect_rss`
+//! binary (`BENCH_stream.json`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use evax_bench::stream_bench::{collect_materialized, collect_streaming, corpus};

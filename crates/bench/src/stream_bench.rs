@@ -4,8 +4,10 @@
 //!
 //! Two implementations of the same fit-then-normalize collection:
 //!
-//! - [`collect_streaming`] — the production path: per-run [`StreamStats`]
-//!   fit pass + re-simulating emit pass, O(dim) working memory per worker.
+//! - [`collect_streaming`] — the production path: one simulation pass per
+//!   run, each window parked in its `f32` sample buffer (with the few
+//!   values `f32` cannot hold exactly spilled as `f64`) and normalized in
+//!   place after the per-run statistics merge.
 //! - [`collect_materialized`] — the pre-refactor algorithm: buffer every
 //!   raw `f64` window, fit the normalizer over the matrix, normalize in a
 //!   second in-memory pass. Kept here purely as the comparison baseline.
@@ -15,11 +17,10 @@
 
 use evax_attacks::benign::Scale;
 use evax_attacks::{build_attack, build_benign, KernelParams};
-use evax_core::featurize::DatasetSink;
+use evax_core::collect::{collect_corpus_stats, CollectConfig};
 use evax_core::par;
 use evax_core::prelude::{
-    Dataset, Normalizer, Parallelism, ProgramSource, Sample, StreamStats, WindowSource,
-    BENIGN_CLASS,
+    Dataset, Normalizer, Parallelism, ProgramSource, Sample, WindowSource, BENIGN_CLASS,
 };
 use evax_sim::{CpuConfig, Program};
 use rand::rngs::StdRng;
@@ -55,32 +56,17 @@ pub fn corpus(repeat: usize) -> Vec<(usize, Program)> {
     out
 }
 
-/// The production streaming path: fit pass (per-run stats merged in
-/// canonical order) + re-simulating emit pass. Never materializes a raw
-/// window matrix.
+/// The production collection path ([`collect_corpus_stats`]): one
+/// simulation pass per run, windows parked in their sample buffers and
+/// normalized in place once the corpus maxima are known.
 pub fn collect_streaming(corpus: &[(usize, Program)], parallelism: Parallelism) -> Dataset {
-    let cpu_cfg = CpuConfig::default();
-    let dim = evax_sim::HPC_BASE_DIM;
-    let per_run = par::map(parallelism, corpus, |(_, program)| {
-        let mut stats = StreamStats::new(dim);
-        ProgramSource::new(program, &cpu_cfg, INTERVAL, MAX_INSTRS).stream(&mut stats);
-        stats
-    });
-    let mut stats = StreamStats::new(dim);
-    for s in &per_run {
-        stats.merge(s);
-    }
-    let norm = stats.normalizer();
-    let per_ds = par::map(parallelism, corpus, |(class, program)| {
-        let mut sink = DatasetSink::new(&norm, *class);
-        ProgramSource::new(program, &cpu_cfg, INTERVAL, MAX_INSTRS).stream(&mut sink);
-        sink.into_dataset()
-    });
-    let mut ds = Dataset::new();
-    for d in per_ds {
-        ds.extend(d);
-    }
-    ds
+    let cfg = CollectConfig {
+        interval: INTERVAL,
+        max_instrs: MAX_INSTRS,
+        parallelism,
+        ..CollectConfig::default()
+    };
+    collect_corpus_stats(corpus, &cfg).0
 }
 
 /// The pre-refactor materializing baseline: one simulation pass buffering

@@ -12,8 +12,8 @@
 //!
 //! ```text
 //!   WindowSource ──▶ window delta ──▶ normalization ──▶ engineered HPCs
-//!   (simulator,      (inside           (Normalizer /      (fuzzy-AND
-//!    run_sampled)     run_sampled)      StreamStats)       projection)
+//!   (simulator,      (inside the       (Normalizer /      (fuzzy-AND
+//!    SampledCursor)   cursor)           StreamStats)       projection)
 //!        │
 //!        └──▶ WindowSink: StreamStats (fit) · DatasetSink (offline)
 //!             · VerdictSink (deployment) · the adaptive controller
@@ -22,8 +22,9 @@
 //!
 //! * [`WindowSource`] produces raw per-window HPC **delta** vectors. The
 //!   canonical source is [`ProgramSource`]: one program on a fresh core,
-//!   driven by `Cpu::run_sampled`'s zero-alloc `hpc_vector_into` visitor
-//!   with in-place window deltas.
+//!   driven window by window through a `SampledCursor` into one reused
+//!   delta row (the same cursor loop the fleet runs), so no window
+//!   allocates.
 //! * [`WindowSink`] consumes windows and may steer the source (the adaptive
 //!   controller returns mitigation-mode switches; offline sinks return
 //!   `None`).
@@ -38,15 +39,19 @@
 //!
 //! # Memory bounds
 //!
-//! Streaming collection never materializes raw window matrices: a fit pass
-//! holds one window vector plus running stats per stream, and the emit pass
-//! converts each window straight into its normalized `f32` sample. Peak
-//! memory is the *output* dataset plus O(dim) per worker, independent of
-//! how many raw windows the corpus contains.
+//! Collection never materializes raw `f64` window matrices. It simulates
+//! each run once: its sink fits the run's [`StreamStats`] and parks every
+//! window raw in the `f32` buffer of the sample it will become, spilling
+//! beside it as `f64` only the few values `f32` cannot hold exactly (see
+//! [`crate::collect`]). After the statistics merge, each window is rebuilt
+//! exactly and normalized in place. Peak memory is the *output* dataset
+//! plus those spilled values, independent of how many raw `f64` windows
+//! the corpus would otherwise occupy.
 
 use evax_obs::MetricsSink;
 use evax_sim::{
     Cpu, CpuConfig, FeatureSchema, MitigationMode, Modality, Program, RunResult, SampleSchedule,
+    SampledStep,
 };
 
 use crate::dataset::{Dataset, Normalizer, Sample};
@@ -56,7 +61,8 @@ use crate::feature_engineering::EngineeredFeature;
 /// One raw HPC sampling window, borrowed from the driving source.
 ///
 /// `values` are the per-window counter **deltas** (the window-delta stage
-/// runs inside `Cpu::run_sampled`, converting absolute counters in place).
+/// runs inside the simulator's sampled cursor, converting absolute counters
+/// in place).
 #[derive(Debug, Clone, Copy)]
 pub struct RawWindow<'a> {
     /// Raw (unnormalized) HPC deltas for this window.
@@ -154,47 +160,38 @@ impl WindowSource for ProgramSource<'_> {
         let mut cpu = Cpu::new(self.cpu_cfg.clone());
         cpu.memory_mut()
             .write_u64(evax_attacks::mds::KERNEL_SECRET_ADDR, 5);
-        let result = if self.metrics.enabled() {
-            let windows = self.metrics.counter("featurize.windows");
-            let switches = self.metrics.counter("featurize.mode_switches");
-            let switch_cycle = self.metrics.histogram("featurize.switch_cycle");
-            let span = self.metrics.span("sim.run_wall_ns");
-            let result = cpu.run_sampled_with_schedule(
-                self.program,
-                self.max_instrs,
-                self.interval,
-                self.schedule,
-                |s| {
+        // Handles from a no-op sink are inert, so one loop serves both.
+        let windows = self.metrics.counter("featurize.windows");
+        let switches = self.metrics.counter("featurize.mode_switches");
+        let switch_cycle = self.metrics.histogram("featurize.switch_cycle");
+        let span = self.metrics.span("sim.run_wall_ns");
+        let mut cursor =
+            cpu.begin_sampled_with_schedule(self.max_instrs, self.interval, self.schedule);
+        // One reused delta row: the cursor overwrites every counter of it
+        // per window, so the stream equals `run_sampled_with_schedule`'s.
+        let mut values = vec![0.0f64; evax_sim::dim_for(self.cpu_cfg)];
+        let result = loop {
+            match cursor.next_window_into(&mut cpu, self.program, &mut values) {
+                SampledStep::Window {
+                    instructions,
+                    cycle,
+                } => {
                     windows.inc();
                     let verdict = sink.window(&RawWindow {
-                        values: &s.values,
-                        instructions: s.instructions,
-                        cycle: s.cycle,
+                        values: &values,
+                        instructions,
+                        cycle,
                     });
-                    if verdict.is_some() {
+                    if let Some(mode) = verdict {
                         switches.inc();
-                        switch_cycle.observe(s.cycle);
+                        switch_cycle.observe(cycle);
+                        cpu.set_mitigation(mode);
                     }
-                    verdict
-                },
-            );
-            drop(span);
-            result
-        } else {
-            cpu.run_sampled_with_schedule(
-                self.program,
-                self.max_instrs,
-                self.interval,
-                self.schedule,
-                |s| {
-                    sink.window(&RawWindow {
-                        values: &s.values,
-                        instructions: s.instructions,
-                        cycle: s.cycle,
-                    })
-                },
-            )
+                }
+                SampledStep::Done(result) => break *result,
+            }
         };
+        drop(span);
         if self.metrics.enabled() {
             self.metrics.add("featurize.runs", 1);
             self.metrics

@@ -668,9 +668,10 @@ impl Cpu {
     /// instructions, `on_sample` receives the counter deltas for the window
     /// and may switch the mitigation mode (returning `Some(mode)`).
     ///
-    /// The sample is passed **by value**: collection call-backs that retain
-    /// every window (the common case — see `evax-core::collect`) keep the
-    /// delta vector without copying it.
+    /// The sample is passed **by value**: call-backs that retain every
+    /// window keep the delta vector without copying it. Loops that only
+    /// read each window can drive [`Cpu::begin_sampled`]'s cursor into one
+    /// reused row instead (as `evax-core`'s `ProgramSource` does).
     pub fn run_sampled(
         &mut self,
         program: &Program,

@@ -52,6 +52,13 @@ fn recording_sink_leaves_collection_bitwise_unchanged() {
         registry.get("collect.samples"),
         Some(metered_ds.len() as u64)
     );
+    // Every run is simulated, and every window featurized, exactly once.
+    assert!(registry.get("collect.runs").unwrap_or(0) > 0);
+    assert_eq!(registry.get("featurize.runs"), registry.get("collect.runs"));
+    assert_eq!(
+        registry.get("featurize.windows"),
+        registry.get("collect.samples")
+    );
 }
 
 #[test]
