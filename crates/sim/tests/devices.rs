@@ -5,7 +5,8 @@
 
 use evax_sim::isa::{AluOp, Cond, ProgramBuilder, Reg};
 use evax_sim::{
-    Cpu, CpuConfig, DeviceConfig, DmaConfig, Program, SchedulerKind, DMA_SRC_BASE, NUM_IRQ_VECTORS,
+    Cpu, CpuConfig, DeviceConfig, DmaConfig, PipelineStats, Program, RunResult, SchedulerKind,
+    DMA_SRC_BASE, NUM_IRQ_VECTORS,
 };
 
 fn timer_cfg(period: u64) -> CpuConfig {
@@ -193,6 +194,108 @@ fn schedulers_agree_with_devices_enabled() {
     assert_eq!(scan.0.cycles, event.0.cycles, "cycle-exact equivalence");
     assert_eq!(scan.0.regs, event.0.regs);
     assert_eq!(scan.1, event.1, "device counters identical across cores");
+}
+
+/// Lines in the DRAM-stall program's pointer cycle.
+const CHASE_LINES: u64 = 256;
+/// Base address of the pointer-chase region.
+const CHASE_BASE: u64 = 0x0100_0000;
+
+/// A flushed pointer chase: every hop misses to DRAM, so the core spends
+/// most cycles waiting on one load. Both IRQ vectors run a handler that
+/// counts its pass (r8 for the timer, r9 for DMA completions) and makes
+/// its own flushed DRAM access, so raises that arrive during a service
+/// routine wait masked through a stall.
+fn dram_stall_program(hops: u64) -> Program {
+    let (p, next, i, n) = (Reg::new(1), Reg::new(2), Reg::new(3), Reg::new(4));
+    let (h, scratch, timer_ticks, dma_ticks) = (Reg::new(5), Reg::new(6), Reg::new(8), Reg::new(9));
+    let mut b = ProgramBuilder::new("dram_stall");
+    b.li(p, CHASE_BASE).li(i, 0).li(n, hops);
+    let top = b.label();
+    b.load(next, p, 0);
+    b.flush(p, 0);
+    b.alu_imm(AluOp::Add, p, next, 0);
+    b.alu_imm(AluOp::Add, i, i, 1);
+    b.branch(Cond::Lt, i, n, top);
+    b.halt();
+    for (vector, ticks) in [(0, timer_ticks), (1, dma_ticks)] {
+        let handler = b.label();
+        b.alu_imm(AluOp::Add, ticks, ticks, 1);
+        b.li(h, CHASE_BASE + 64 * vector as u64);
+        b.load(scratch, h, 0);
+        b.flush(h, 0);
+        b.iret();
+        b.on_irq(vector, handler);
+    }
+    b.build()
+}
+
+/// Plants one pointer cycle through the chase lines with a stride of 97
+/// lines, so consecutive hops land in different DRAM rows.
+fn plant_chase(cpu: &mut Cpu) {
+    for k in 0..CHASE_LINES {
+        let to = (k + 97) % CHASE_LINES;
+        cpu.memory_mut()
+            .write_u64(CHASE_BASE + k * 64, CHASE_BASE + to * 64);
+    }
+}
+
+/// Timer fires, DMA bursts and IRQ deliveries that land in the middle of a
+/// DRAM stall: the periods are prime, so the events fall at every phase of
+/// a miss. Both schedulers must agree on every counter, HPC window and
+/// device statistic.
+#[test]
+fn device_events_inside_dram_stalls_agree_across_schedulers() {
+    let p = dram_stall_program(1_200);
+    let dma = DmaConfig {
+        period: 1_301,
+        burst_lines: 2,
+        region_lines: 32,
+        irq_every: 2,
+    };
+    type Outcome = (RunResult, PipelineStats, evax_sim::DeviceStats, Vec<u64>);
+    let run = |scheduler| -> Outcome {
+        let cfg = CpuConfig {
+            scheduler,
+            devices: DeviceConfig::builder()
+                .enabled(true)
+                .timer_period(997)
+                .dma(dma)
+                .build()
+                .unwrap(),
+            ..CpuConfig::default()
+        };
+        let mut cpu = Cpu::new(cfg);
+        plant_chase(&mut cpu);
+        let mut windows = Vec::new();
+        let r = cpu.run_sampled(&p, 20_000, 250, |s| {
+            windows.extend(s.values.iter().map(|v| v.to_bits()));
+            windows.push(s.cycle);
+            None
+        });
+        let dev = *cpu.device_stats().expect("devices enabled");
+        (r, cpu.stats().clone(), dev, windows)
+    };
+    let scan = run(SchedulerKind::Scan);
+    let event = run(SchedulerKind::EventDriven);
+    let (r, _, dev, _) = &scan;
+    assert!(r.halted, "the chase completes");
+    assert!(
+        r.cycles > 20 * r.committed_instructions,
+        "not DRAM-bound: {} cycles for {} instructions",
+        r.cycles,
+        r.committed_instructions
+    );
+    assert!(dev.timer_fires > 0 && dev.dma_bursts > 0);
+    assert!(r.regs[8] > 0 && r.regs[9] > 0, "both handlers ran");
+    assert!(
+        dev.irq_pending_cycles > dev.irq_taken + dev.irq_dropped,
+        "no raise ever waited masked"
+    );
+    assert_eq!(scan.0, event.0, "run results diverged");
+    assert_eq!(scan.1, event.1, "pipeline counters diverged");
+    assert_eq!(scan.2, event.2, "device counters diverged");
+    assert_eq!(scan.3, event.3, "HPC windows diverged");
 }
 
 #[test]
