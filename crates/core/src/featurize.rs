@@ -202,6 +202,8 @@ impl WindowSource for ProgramSource<'_> {
                 .add("sim.sched.events_scheduled", sc.events_scheduled);
             self.metrics.add("sim.sched.ready_pushes", sc.ready_pushes);
             self.metrics
+                .add("sim.sched.skipped_cycles", sc.skipped_cycles);
+            self.metrics
                 .record_max("sim.sched.event_heap_peak", sc.event_heap_peak);
             self.metrics
                 .record_max("sim.sched.ready_heap_peak", sc.ready_heap_peak);

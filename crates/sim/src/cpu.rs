@@ -34,6 +34,27 @@
 //! every younger load is fenced), so releasing them only ever tests the
 //! oldest parked load: at the top of each issue stage, and after each
 //! execute, which can move the boundary mid-cycle.
+//!
+//! ## Skipping idle cycles
+//!
+//! Most simulated cycles move nothing: the core waits on DRAM, a fetch
+//! miss or a drain. Before each step the event-driven core asks whether
+//! the cycles ahead of a running core are provably idle
+//! (`Cpu::skip_idle_cycles`). They are when no stage could act: the ROB
+//! head is not ready to retire, no event is due next cycle, the oldest
+//! fence-parked load stays fenced, the ready heap holds only
+//! serialization-gated candidates, dispatch is blocked (serialization,
+//! an empty or not-yet-ready fetch buffer, or a structural stall), fetch
+//! is parked, stalled or blocked by a full buffer, and no IRQ is
+//! deliverable. The stretch then ends at the earliest wake candidate: the
+//! event heap's head, the fetch buffer front's `ready_at`,
+//! `fetch_stall_until`, the timer and DMA fire times, and the cursor's
+//! cycle ceiling. `cycle` jumps to the cycle before it, and each
+//! per-cycle counter the stages would have ticked is added k times. No
+//! other state changes in an idle cycle (caches, TLBs and DRAM are
+//! touched only by activity), so every counter, window and snapshot is
+//! bit-identical to stepping. The scan core never skips, which keeps it
+//! an independent cycle-by-cycle oracle for the rule.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -210,10 +231,13 @@ impl SampledCursor {
     /// the counter deltas into `values`, which must be
     /// `dim_for(cpu.config())` long) or the run ends.
     ///
-    /// The step sequence — loop-condition check, `step_cycle`, window
-    /// check — is exactly the one the original monolithic `run_sampled`
-    /// loop performed, so a run driven through this cursor is
-    /// cycle-for-cycle identical to one driven by `run_sampled`.
+    /// Each iteration checks the loop conditions, steps one cycle and
+    /// checks for a closed window, as the original monolithic
+    /// `run_sampled` loop did. Between the check and the step, the
+    /// event-driven core jumps over the idle cycles ahead (see the module
+    /// docs), which leaves every counter and window as stepping them
+    /// would. A run driven through this cursor is identical to one driven
+    /// by `run_sampled`.
     pub fn next_window_into(
         &mut self,
         cpu: &mut Cpu,
@@ -244,6 +268,9 @@ impl SampledCursor {
                 self.done = true;
                 break;
             }
+            // Jump over the cycles in which nothing can move, stopping one
+            // short of the ceiling so the step below cannot pass it.
+            cpu.skip_idle_cycles(self.start_cycle.saturating_add(self.cycle_budget) - 1);
             let before = cpu.stats.committed_insts;
             cpu.step_cycle(program);
             if self.warmup_instrs > 0 {
@@ -375,6 +402,9 @@ pub struct SchedCounters {
     /// Peak ready-heap occupancy observed after a push. Fence-parked loads
     /// wait off the ready heap and do not count.
     pub ready_heap_peak: u64,
+    /// Cycles advanced without stepping the pipeline, because no stage
+    /// could act in them (their per-cycle counters are added in bulk).
+    pub skipped_cycles: u64,
 }
 
 /// The simulated core.
@@ -853,6 +883,144 @@ impl Cpu {
         }
         self.dispatch_stage();
         self.fetch_stage(program);
+    }
+
+    /// Event-driven core only, called on a running (not halted) core:
+    /// when the cycles after the current one provably move nothing, advances `cycle` to the last of them (at most
+    /// to `ceiling`) and adds their per-cycle counters in bulk, so the next
+    /// `step_cycle` runs the earliest cycle at which anything can change.
+    ///
+    /// The checks mirror `step_cycle`'s stages in order; any stage that
+    /// would act returns at once, so an active cycle pays only the first
+    /// failing check. See the module docs for the rule.
+    fn skip_idle_cycles(&mut self, ceiling: u64) {
+        type Counter = fn(&mut PipelineStats) -> &mut u64;
+        if self.sched != SchedulerKind::EventDriven {
+            return;
+        }
+        let next = self.cycle + 1;
+        // Commit: a `Done` head retires unless it awaits its assist replay
+        // (which is an event).
+        if let Some(head) = self.rob.front() {
+            if head.state == EState::Done && (!head.assisted || head.assist_handled) {
+                return;
+            }
+        }
+        // Complete: the earliest event bounds the stretch.
+        let mut wake = u64::MAX;
+        if let Some(&Reverse((at, _, _))) = self.events.peek() {
+            if at <= next {
+                return;
+            }
+            wake = at;
+        }
+        // Issue: the oldest parked load stays fenced, and the ready heap
+        // holds only serialization-gated candidates, each popped and
+        // re-pushed every cycle.
+        if let Some(&Reverse(seq)) = self.fenced.peek() {
+            if self.rob_index_of(seq).is_none() || !self.load_fenced(seq) {
+                return;
+            }
+        }
+        if !self.ready.is_empty() && !self.ready_only_serialization_gated() {
+            return;
+        }
+        // Dispatch, in the stage's order: the first stall it meets decides
+        // which counter ticks.
+        let dispatch: Option<Counter> = if let Some(block_seq) = self.serialize_block {
+            if self.rob.front().is_none_or(|f| block_seq < f.seq) {
+                return;
+            }
+            Some(|s| &mut s.fetch_pending_quiesce_stall_cycles)
+        } else if let Some(front) = self.fetch_buffer.front() {
+            if front.ready_at > next {
+                wake = wake.min(front.ready_at);
+                None
+            } else if self.rob.len() >= self.cfg.rob_entries {
+                Some(|s| &mut s.rename_rob_full_events)
+            } else if self.num_not_done >= self.cfg.iq_entries {
+                Some(|s| &mut s.rename_iq_full_events)
+            } else if matches!(front.op, Op::Load { .. })
+                && self.loads_in_flight >= self.cfg.lq_entries
+            {
+                Some(|s| &mut s.rename_lq_full_events)
+            } else if matches!(front.op, Op::Store { .. })
+                && self.stores_in_flight >= self.cfg.sq_entries
+            {
+                Some(|s| &mut s.rename_sq_full_events)
+            } else if self.producers_in_flight + Reg::COUNT >= self.cfg.phys_int_regs {
+                Some(|s| &mut s.rename_full_registers_events)
+            } else if front.op.is_serializing() && !self.rob.is_empty() {
+                Some(|s| &mut s.fetch_pending_quiesce_stall_cycles)
+            } else {
+                return;
+            }
+        } else {
+            None
+        };
+        let fetch: Counter = if self.fetch_parked {
+            |s| &mut s.fetch_idle_cycles
+        } else if next < self.fetch_stall_until {
+            wake = wake.min(self.fetch_stall_until);
+            |s| &mut s.fetch_icache_stall_cycles
+        } else if self.fetch_buffer.len() >= 2 * self.cfg.fetch_width {
+            |s| &mut s.fetch_blocked_cycles
+        } else {
+            return;
+        };
+        // Devices: timer and DMA fire times bound the stretch; a pending
+        // IRQ is delivered unless a service routine masks it.
+        let mut irq_masked = false;
+        if let Some(dev) = self.dev.as_deref() {
+            if dev.irq_pending != 0 {
+                if !dev.irq_in_service {
+                    return;
+                }
+                irq_masked = true;
+            }
+            wake = wake.min(dev.timer_next_fire).min(dev.dma_next_burst);
+        }
+        let last = (wake - 1).min(ceiling);
+        if last <= self.cycle {
+            return;
+        }
+        let k = last - self.cycle;
+        self.cycle = last;
+        self.stats.cycles += k;
+        if !self.unresolved_ctrl.is_empty() {
+            self.stats.spec_window_cycles += k;
+        }
+        if self.num_waiting > 0 {
+            self.stats.iq_operand_stall_cycles += k;
+        }
+        if let Some(counter) = dispatch {
+            *counter(&mut self.stats) += k;
+        }
+        *fetch(&mut self.stats) += k;
+        if irq_masked {
+            if let Some(dev) = self.dev.as_deref_mut() {
+                dev.stats.irq_pending_cycles += k;
+            }
+        }
+        self.sched_counters.ready_pushes += k * self.ready.len() as u64;
+        self.sched_counters.skipped_cycles += k;
+    }
+
+    /// `true` if every ready-heap entry is a distinct, still-valid issue
+    /// candidate that the serialization gate holds back: issue pops and
+    /// re-pushes exactly these, and changes nothing else. Any other entry
+    /// (stale, duplicate or issuable) means issue would act.
+    fn ready_only_serialization_gated(&self) -> bool {
+        let heap = self.ready.as_slice();
+        heap.iter().enumerate().all(|(i, &Reverse(seq))| {
+            self.rob_index_of(seq).is_some_and(|idx| {
+                let e = &self.rob[idx];
+                e.state == EState::Waiting
+                    && self.deps_pending[self.slot(seq)] == 0
+                    && e.op.is_serializing()
+                    && !self.all_older_done_scan(seq)
+            }) && !heap[..i].contains(&Reverse(seq))
+        })
     }
 
     // ------------------------------------------------------------------
